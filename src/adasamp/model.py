@@ -54,6 +54,11 @@ class StochasticProblem:
     first i+1 blocks of the stream). ``value``/``grad`` evaluate one
     realization; the optional ``value_many``/``grad_many`` evaluate a whole
     set at once and must agree with the per-sample versions.
+
+    Ownership: the array ``grad_many`` returns passes to the caller, which
+    may overwrite it (``gradient_stats`` does). Return a fresh array, or
+    ``xis`` itself, a view of it or a read-only array, which ``batch_grads``
+    copies; never a writable array the problem keeps and reads again.
     """
 
     dim: int
@@ -128,10 +133,20 @@ def batch_values(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
 
 
 def batch_grads(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Per-sample gradients, shape (n, dim)."""
+    """Per-sample gradients, shape (n, dim).
+
+    The result is always an array the caller owns and may overwrite: a
+    ``grad_many`` result that shares memory with ``xis`` (``-xis`` does
+    not, ``xis`` or a view of it does) is copied, so that writing into it
+    never alters the sample set, and so is a read-only one (such as
+    ``np.broadcast_to`` returns).
+    """
     many = getattr(problem, "grad_many", None)
     if many is not None:
-        return np.asarray(many(x, xis), dtype=float)
+        grads = np.asarray(many(x, xis), dtype=float)
+        if not grads.flags.writeable or np.shares_memory(grads, xis):
+            grads = grads.copy()
+        return grads
     return np.array([problem.grad(x, xi) for xi in xis], dtype=float)
 
 
@@ -145,16 +160,23 @@ def sample_objective(problem, x, sample_set: SampleSet) -> float:
 
 def gradient_stats(grads: np.ndarray) -> GradientStats:
     """Statistics of a stack of per-sample gradients (index-ordered reduction,
-    so the result is bit-stable)."""
+    so the result is bit-stable).
+
+    A float64 ``grads`` is overwritten: when n >= 2 and its rows differ, it
+    holds the deviations g_i - mean on return. Pass a copy to keep the
+    gradients.
+    """
+    grads = np.asarray(grads, dtype=float)
     n = grads.shape[0]
     mean = grads.mean(axis=0)
     if n < 2:
         variance_stat = math.nan
-    elif np.all(grads == grads[0]):
-        # identical rows must give exactly zero, not summation fuzz
+    elif np.all(grads[1] == grads[0]) and np.all(grads == grads[0]):
+        # identical rows must give exactly zero, not summation fuzz; the
+        # two-row check skips the full scan whenever rows 0 and 1 differ
         variance_stat = 0.0
     else:
-        dev = grads - mean
+        dev = np.subtract(grads, mean, out=grads)
         variance_stat = float(np.einsum("ij,ij->", dev, dev) / ((n - 1) * n))
     return GradientStats(mean, variance_stat, n)
 

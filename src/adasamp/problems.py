@@ -65,16 +65,31 @@ class BasicExample:
 
     def build(self) -> Tuple[StochasticProblem, ConstraintSet]:
         a, b = self.a, self.b
+        two_a = 2.0 * a
         x_star = basic_optimum(a, b)
         # E[(x - b xi)^2] = x^2 - b x + b^2/3 for xi ~ Unif(0,1)
         f_star = float(np.sum(a * (x_star**2 - b * x_star + b**2 / 3.0)))
+
+        def residuals(x, xis):
+            # x - b*xi, row by row, in one fresh (n, d) buffer
+            r = np.multiply(xis, b)
+            return np.subtract(x, r, out=r)
+
+        def value_many(x, xis):
+            r = residuals(x, xis)
+            return np.square(r, out=r) @ a
+
+        def grad_many(x, xis):
+            r = residuals(x, xis)
+            return np.multiply(r, two_a, out=r)
+
         problem = StochasticProblem(
             dim=BASIC_DIM,
             sampler=lambda rng, n: rng.random((n, BASIC_DIM)),
             value=lambda x, xi: float(np.sum(a * (x - b * xi) ** 2)),
             grad=lambda x, xi: 2.0 * a * (x - b * xi),
-            value_many=lambda x, xis: ((x - b * xis) ** 2) @ a,
-            grad_many=lambda x, xis: 2.0 * a * (x - b * xis),
+            value_many=value_many,
+            grad_many=grad_many,
             known_optimum=x_star,
             known_optimal_value=f_star,
             params={"a": a, "b": b, "seed": self.seed},
@@ -116,7 +131,7 @@ def _correlate(u: np.ndarray, B: np.ndarray) -> np.ndarray:
             padded[: block.shape[0]] = block
             out[start:] = (padded @ B.T)[: block.shape[0]]
         else:
-            out[start:start + _CORRELATE_BLOCK] = block @ B.T
+            np.matmul(block, B.T, out=out[start:start + _CORRELATE_BLOCK])
     return out
 
 
@@ -147,9 +162,14 @@ class PortfolioProblem:
 
     def build(self) -> Tuple[StochasticProblem, ConstraintSet]:
         A, B = self.A, self.B
+
+        def sampler(rng, n):
+            xis = _correlate(rng.standard_normal((n, PORTFOLIO_DIM)), B)
+            return np.add(xis, A, out=xis)
+
         problem = StochasticProblem(
             dim=PORTFOLIO_DIM,
-            sampler=lambda rng, n: A + _correlate(rng.standard_normal((n, PORTFOLIO_DIM)), B),
+            sampler=sampler,
             value=lambda x, xi: float(-(xi @ x)),
             grad=lambda x, xi: -np.asarray(xi, dtype=float),
             value_many=lambda x, xis: -(xis @ x),

@@ -195,7 +195,10 @@ class ExtendedProblem:
         fs = batch_values(self.base, x, xis)
         gs = batch_grads(self.base, x, xis)
         s = smooth_plus_deriv(fs - t, self.epsilon) / (1.0 - self.beta)
-        return np.hstack([s[:, None] * gs, (1.0 - s)[:, None]])
+        out = np.empty((gs.shape[0], gs.shape[1] + 1))
+        np.multiply(s[:, None], gs, out=out[:, :-1])
+        np.subtract(1.0, s, out=out[:, -1])
+        return out
 
 
 def extend_problem(base: StochasticProblem, beta: float, epsilon: float) -> ExtendedProblem:

@@ -77,8 +77,13 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
     in which case the sample size is kept, otherwise it grows to
     ceil(rho * n) clamped to the configured maximum.
     """
-    if stats.n < 2 or not math.isfinite(stats.variance_stat):
+    if stats.n < 2:
         raise ValueError("norm test needs at least two samples (variance undefined)")
+    if not math.isfinite(stats.variance_stat):
+        raise ValueError(
+            f"norm test got a non-finite variance statistic ({stats.variance_stat}) "
+            f"from {stats.n} samples: a sampled gradient is not finite or overflows"
+        )
     reduced_grad = np.asarray(reduced_grad, dtype=float)
     r_sq = float(reduced_grad @ reduced_grad)
     if math.sqrt(r_sq) <= cfg.stationarity_tol:

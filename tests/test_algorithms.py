@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from adasamp.algorithms import (
     spgd_step,
     sqp_direction,
 )
-from adasamp.geometry import feasibility_residual, full_space, project
-from adasamp.model import StochasticProblem, draw_samples
+from adasamp.geometry import NonNegativeOrthant, feasibility_residual, full_space, project
+from adasamp.model import StochasticProblem, draw_samples, sample_gradient
 from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.risk import extend_problem
 from adasamp.sizing import TestConfig
@@ -54,6 +55,18 @@ def noisy_linear(c, spread):
         grad=lambda x, xi: -np.asarray(xi, dtype=float),
         value_many=lambda x, xis: -(xis @ x),
         grad_many=lambda x, xis: -xis,
+    )
+
+
+def linear_returning(grad_many):
+    """f(x; xi) = <x, xi> with grad_many supplied by the caller."""
+    return StochasticProblem(
+        dim=3,
+        sampler=lambda rng, n: 0.5 + rng.random((n, 3)),
+        value=lambda x, xi: float(x @ xi),
+        grad=lambda x, xi: np.asarray(xi, dtype=float),
+        value_many=lambda x, xis: xis @ x,
+        grad_many=grad_many,
     )
 
 
@@ -363,3 +376,29 @@ class TestOptimizerConfigValidation:
 
     def test_fixed_mode_allows_single_sample(self):
         assert cfg(s0=1, adaptive=False).initial_sample_size == 1
+
+
+class TestGradientOwnership:
+    # gradient_stats overwrites the gradient array, so a grad_many that
+    # hands back the sample array itself must not corrupt the sample set
+
+    def test_sample_gradient_leaves_realizations_unchanged(self):
+        problem = linear_returning(lambda x, xis: xis)
+        s = draw_samples(problem, 12, 0, 4)
+        before = s.realizations.copy()
+        stats = sample_gradient(problem, np.ones(3), s)
+        assert np.array_equal(s.realizations, before)
+        assert np.array_equal(stats.mean_grad, before.mean(axis=0))
+
+    def test_aliasing_grad_many_runs_like_a_copying_one(self):
+        def run(problem):
+            result = run_spgd_adaptive(
+                problem, NonNegativeOrthant(3), cfg(alpha=0.1, iters=3), np.ones(3)
+            )
+            return result, [dataclasses.replace(r, wall_time_ms=0.0) for r in result.records]
+
+        aliasing, aliasing_records = run(linear_returning(lambda x, xis: xis))
+        copying, copying_records = run(linear_returning(lambda x, xis: xis.copy()))
+        assert len(aliasing_records) == 3
+        assert aliasing_records == copying_records
+        assert np.array_equal(aliasing.state.x, copying.state.x)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from adasamp.model import (
     StochasticProblem,
     batch_grads,
     draw_samples,
+    gradient_stats,
     sample_gradient,
     sample_objective,
 )
@@ -135,3 +138,91 @@ class TestSampleGradient:
         slow = sample_gradient(bare, x, s)
         np.testing.assert_allclose(slow.mean_grad, fast.mean_grad, rtol=1e-12)
         assert slow.variance_stat == pytest.approx(fast.variance_stat, rel=1e-12)
+
+
+def two_pass_stats(grads):
+    """Reference for gradient_stats: mean, then the deviations in a new array."""
+    g = np.array(grads, dtype=float)
+    n = g.shape[0]
+    mean = g.mean(axis=0)
+    if n < 2:
+        return mean, float("nan")
+    dev = g - mean
+    return mean, float(np.einsum("ij,ij->", dev, dev) / ((n - 1) * n))
+
+
+class TestGradientStats:
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
+    def test_matches_two_pass_reference_exactly(self, n):
+        grads = np.random.default_rng(n).normal(size=(n, 20)) * 3.0 + 1.0
+        mean, var = two_pass_stats(grads)
+        stats = gradient_stats(grads.copy())
+        assert np.array_equal(stats.mean_grad, mean)
+        assert stats.variance_stat == var
+        assert stats.n == n
+
+    def test_overwrites_argument_with_deviations(self):
+        grads = np.random.default_rng(3).normal(size=(50, 4))
+        work = grads.copy()
+        stats = gradient_stats(work)
+        assert np.array_equal(work, grads - stats.mean_grad)
+
+    def test_integer_rows_are_converted_not_overwritten(self):
+        grads = np.array([[1, 2], [3, 5], [4, 4]])
+        _, var = two_pass_stats(grads)
+        assert gradient_stats(grads).variance_stat == var
+        assert np.array_equal(grads, [[1, 2], [3, 5], [4, 4]])
+
+    def test_identical_rows_give_exact_zero(self):
+        grads = np.tile(np.array([0.1, -0.7, 1.0 / 3.0]), (9, 1))
+        assert gradient_stats(grads.copy()).variance_stat == 0.0
+
+    def test_equal_first_rows_still_scan_the_rest(self):
+        grads = np.tile(np.array([0.1, -0.7, 1.0 / 3.0]), (9, 1))
+        grads[5, 1] = 2.0
+        _, var = two_pass_stats(grads)
+        assert var > 0.0
+        assert gradient_stats(grads.copy()).variance_stat == var
+
+    def test_two_rows(self):
+        grads = np.array([[1.0, 2.0, -3.0], [0.5, 2.5, 4.0]])
+        _, var = two_pass_stats(grads)
+        assert gradient_stats(grads.copy()).variance_stat == var
+
+    def test_single_row_is_nan(self):
+        stats = gradient_stats(np.array([[1.0, 2.0]]))
+        assert math.isnan(stats.variance_stat)
+        assert np.array_equal(stats.mean_grad, [1.0, 2.0])
+
+
+class TestGradientOwnership:
+    def test_batch_grads_copies_a_result_that_aliases_the_samples(self):
+        # f(x; xi) = <x, xi[1:]>: the batched gradient is a view of xis
+        xis = np.random.default_rng(0).random((6, 4))
+        problem = StochasticProblem(
+            dim=3,
+            sampler=lambda rng, n: rng.random((n, 4)),
+            value=lambda x, xi: float(x @ xi[1:]),
+            grad=lambda x, xi: np.asarray(xi[1:], dtype=float),
+            grad_many=lambda x, xis: xis[:, 1:],
+        )
+        grads = batch_grads(problem, np.zeros(3), xis)
+        assert np.array_equal(grads, xis[:, 1:])
+        assert not np.shares_memory(grads, xis)
+
+    def test_read_only_result_is_copied_before_stats_overwrite_it(self):
+        # f(x; xi) = 2 xi (x_0 + x_1); the batched gradient is a read-only
+        # broadcast of one column
+        problem = StochasticProblem(
+            dim=2,
+            sampler=lambda rng, n: rng.random((n, 1)),
+            value=lambda x, xi: float(2.0 * xi[0] * (x[0] + x[1])),
+            grad=lambda x, xi: np.full(2, 2.0 * xi[0]),
+            grad_many=lambda x, xis: np.broadcast_to(2.0 * xis, (xis.shape[0], 2)),
+        )
+        s = draw_samples(problem, 5, 0, 1)
+        x = np.zeros(2)
+        assert batch_grads(problem, x, s.realizations).flags.writeable
+        mean, var = two_pass_stats(np.broadcast_to(2.0 * s.realizations, (5, 2)))
+        stats = sample_gradient(problem, x, s)
+        assert np.array_equal(stats.mean_grad, mean) and stats.variance_stat == var

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adasamp.geometry import Intersection, NonNegativeOrthant, project
-from adasamp.model import batch_grads, draw_samples
+from adasamp.model import batch_grads, draw_samples, stream_rng
 from adasamp.problems import (
     BasicExample,
     PortfolioProblem,
@@ -15,6 +15,22 @@ from adasamp.problems import (
     write_param_table,
 )
 from oracles import central_diff, rel_err
+
+
+def block_correlate_reference(u, B, block=512):
+    """The block product as first written: a new array per block, and the
+    last partial block zero-padded to the full block shape."""
+    n = u.shape[0]
+    out = np.empty((n, B.shape[0]))
+    for start in range(0, n, block):
+        rows = u[start:start + block]
+        if rows.shape[0] < block:
+            padded = np.zeros((block, u.shape[1]))
+            padded[: rows.shape[0]] = rows
+            out[start:] = (padded @ B.T)[: rows.shape[0]]
+        else:
+            out[start:start + block] = rows @ B.T
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +73,17 @@ class TestBasicExample:
         s = draw_samples(problem, 200, 0, 1)
         x = problem.known_optimum
         assert np.all((x - problem.params["b"] * s.realizations) ** 2 @ problem.params["a"] >= 0)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_batched_evaluators_match_reference_expressions_exactly(self, basic, n):
+        problem, _ = basic
+        a, b = problem.params["a"], problem.params["b"]
+        xis = draw_samples(problem, n, 0, 12).realizations
+        before = xis.copy()
+        for x in (np.zeros(20), np.random.default_rng(n).normal(size=20)):
+            assert np.array_equal(problem.value_many(x, xis), ((x - b * xis) ** 2) @ a)
+            assert np.array_equal(problem.grad_many(x, xis), 2.0 * a * (x - b * xis))
+        assert np.array_equal(xis, before)
 
     def test_strong_convexity_of_sampled_gradients(self, basic):
         # grad f(x) - grad f(y) = 2 a (x - y) regardless of xi, and a >= 1
@@ -150,6 +177,14 @@ class TestPortfolio:
             small = draw_samples(problem, n_small, 3, 42)
             big = draw_samples(problem, n_big, 3, 42)
             np.testing.assert_array_equal(big.realizations[:n_small], small.realizations)
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1500])
+    def test_sampler_matches_reference_block_product_exactly(self, portfolio, n):
+        problem, _ = portfolio
+        A, B = problem.params["A"], problem.params["B"]
+        xis = problem.sampler(stream_rng(5, 0, n), n)
+        u = stream_rng(5, 0, n).standard_normal((n, 100))
+        assert np.array_equal(xis, A + block_correlate_reference(u, B))
 
     def test_correlate_matches_plain_product(self):
         rng = np.random.default_rng(8)

@@ -53,6 +53,11 @@ class TestNormTest:
         with pytest.raises(ValueError):
             norm_test(GradientStats(np.zeros(3), float("nan"), 1), np.ones(3), CFG)
 
+    def test_non_finite_statistic_is_not_reported_as_too_few_samples(self):
+        with pytest.raises(ValueError, match="non-finite") as info:
+            norm_test(stats(float("nan"), n=10), np.ones(3), CFG)
+        assert "two samples" not in str(info.value)
+
 
 class TestSqpNormTest:
     def test_identical_directions_pass_with_zero_rho(self):
