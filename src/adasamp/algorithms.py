@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .geometry import ConstraintSet, ProductWithFree, project
 from .model import (
@@ -30,7 +29,7 @@ from .model import (
     sample_objective,
 )
 from .records import RunRecord
-from .risk import extend_problem, quantile_solve, smooth_plus
+from .risk import expit, extend_problem, quantile_solve, smooth_plus
 from .sizing import TestConfig, TestOutcome, norm_test, sqp_norm_test
 
 __all__ = [

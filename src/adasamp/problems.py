@@ -34,6 +34,8 @@ __all__ = [
 BASIC_DIM = 20
 PORTFOLIO_DIM = 100
 RETURN_THRESHOLD = 1.05
+# Rows per block of the blocked per-sample passes (value pass, correlate).
+_BLOCK_ROWS = 512
 
 
 def basic_optimum(a, b) -> np.ndarray:
@@ -70,17 +72,35 @@ class BasicExample:
         # E[(x - b xi)^2] = x^2 - b x + b^2/3 for xi ~ Unif(0,1)
         f_star = float(np.sum(a * (x_star**2 - b * x_star + b**2 / 3.0)))
 
-        def residuals(x, xis):
-            # x - b*xi, row by row, in one fresh (n, d) buffer
-            r = np.multiply(xis, b)
-            return np.subtract(x, r, out=r)
-
         def value_many(x, xis):
-            r = residuals(x, xis)
-            return np.square(r, out=r) @ a
+            # (x - b*xi)^2 @ a in blocks through one small buffer. Blocks
+            # start at multiples of 512, so the BLAS kernel groups rows as
+            # one single-threaded call over all n rows does: same bits. A
+            # one-row block would go through numpy's dot, which sums in
+            # another order, so a one-row tail joins the block before it.
+            # The blocked values were also the same at one and two BLAS
+            # threads; one large call is split across threads, and the rows
+            # at the split change in the last bit.
+            n = xis.shape[0]
+            values = np.empty(n)
+            buf = np.empty((min(n, _BLOCK_ROWS + 1), BASIC_DIM))
+            start = 0
+            while start < n:
+                stop = min(start + _BLOCK_ROWS, n)
+                if stop == n - 1:
+                    stop = n
+                r = buf[: stop - start]
+                np.multiply(xis[start:stop], b, out=r)
+                np.subtract(x, r, out=r)
+                np.square(r, out=r)
+                np.matmul(r, a, out=values[start:stop])
+                start = stop
+            return values
 
         def grad_many(x, xis):
-            r = residuals(x, xis)
+            # 2a*(x - b*xi), row by row, in one fresh (n, d) buffer
+            r = np.multiply(xis, b)
+            np.subtract(x, r, out=r)
             return np.multiply(r, two_a, out=r)
 
         problem = StochasticProblem(
@@ -111,9 +131,6 @@ def _max_return_infeasible(A: np.ndarray) -> bool:
     return float(np.max(A)) < RETURN_THRESHOLD
 
 
-_CORRELATE_BLOCK = 512
-
-
 def _correlate(u: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Rows of u @ B.T, computed in fixed-shape blocks.
 
@@ -124,14 +141,14 @@ def _correlate(u: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     n = u.shape[0]
     out = np.empty((n, B.shape[0]))
-    for start in range(0, n, _CORRELATE_BLOCK):
-        block = u[start:start + _CORRELATE_BLOCK]
-        if block.shape[0] < _CORRELATE_BLOCK:
-            padded = np.zeros((_CORRELATE_BLOCK, u.shape[1]))
+    for start in range(0, n, _BLOCK_ROWS):
+        block = u[start:start + _BLOCK_ROWS]
+        if block.shape[0] < _BLOCK_ROWS:
+            padded = np.zeros((_BLOCK_ROWS, u.shape[1]))
             padded[: block.shape[0]] = block
             out[start:] = (padded @ B.T)[: block.shape[0]]
         else:
-            np.matmul(block, B.T, out=out[start:start + _CORRELATE_BLOCK])
+            np.matmul(block, B.T, out=out[start:start + _BLOCK_ROWS])
     return out
 
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .model import StochasticProblem, batch_grads, batch_values
 
@@ -45,6 +44,19 @@ class RiskSpec:
                 raise ValueError("beta must lie in [0, 1)")
             if self.epsilon <= 0.0:
                 raise ValueError("epsilon must be positive")
+
+
+def expit(x):
+    """The logistic function 1/(1 + exp(-x)), elementwise.
+
+    This is scipy.special.expit itself, imported on the first call so that
+    importing adasamp (and running the expectation and SQP drivers) does not
+    load scipy. Callers in this module look the name up at call time, so
+    replacing ``adasamp.risk.expit`` replaces it for them too.
+    """
+    from scipy.special import expit as scipy_expit
+
+    return scipy_expit(x)
 
 
 def smooth_plus(y, epsilon: float):

@@ -1,0 +1,68 @@
+"""scipy is needed only by the CVaR drivers, through ``adasamp.risk.expit``,
+which imports it on first use. Importing the package, the expectation and
+SQP runs and ``compare`` must not load it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import adasamp
+
+SCRIPT = r"""
+import json
+import os
+import sys
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+workdir = sys.argv[1]
+steps = {}
+
+def run(*argv):
+    from adasamp import cli
+    assert cli.main(list(argv)) == 0, argv
+
+def csv(name):
+    return os.path.join(workdir, name + ".csv")
+
+import adasamp
+steps["import adasamp"] = scipy_loaded()
+import adasamp.cli
+steps["import adasamp.cli"] = scipy_loaded()
+for algorithm, flags in (("spgd", ()), ("spgd-fixed", ("--fixed-sample-size", "100")),
+                         ("sqp", ())):
+    run("run", "--problem", "basic", "--algorithm", algorithm, *flags, "--max-iters", "3",
+        "--output", csv(algorithm))
+    steps["run " + algorithm] = scipy_loaded()
+run("compare", csv("spgd-fixed"), csv("spgd"))
+steps["compare"] = scipy_loaded()
+run("run", "--problem", "portfolio", "--algorithm", "cvar-nested", "--beta", "0.9",
+    "--epsilon", "0.1", "--max-iters", "2", "--output", csv("cvar-nested"))
+steps["run cvar-nested"] = scipy_loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_stays_off_the_import_path_until_a_cvar_run(tmp_path):
+    src = str(Path(adasamp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert steps == {
+        "import adasamp": False,
+        "import adasamp.cli": False,
+        "run spgd": False,
+        "run spgd-fixed": False,
+        "run sqp": False,
+        "compare": False,
+        # the guard can fail: the first CVaR evaluation loads scipy
+        "run cvar-nested": True,
+    }

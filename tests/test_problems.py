@@ -74,7 +74,7 @@ class TestBasicExample:
         x = problem.known_optimum
         assert np.all((x - problem.params["b"] * s.realizations) ** 2 @ problem.params["a"] >= 0)
 
-    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("n", [1, 7, 511, 512, 513, 1000, 1025])
     def test_batched_evaluators_match_reference_expressions_exactly(self, basic, n):
         problem, _ = basic
         a, b = problem.params["a"], problem.params["b"]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adasamp import risk
+from adasamp.algorithms import OptimizerConfig, run_nested_quantile
 from adasamp.model import draw_samples
-from adasamp.problems import make_basic_example
+from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.risk import (
     ExtendedProblem,
     RiskSpec,
@@ -17,6 +19,7 @@ from adasamp.risk import (
     smoothed_cvar,
     var_empirical,
 )
+from adasamp.sizing import TestConfig
 from oracles import central_diff, rel_err
 
 RNG = np.random.default_rng(99)
@@ -128,6 +131,42 @@ def test_cvar_coherence_slice(values, c, lam):
     # translation equivariance and positive homogeneity
     assert cvar_empirical(vals + c, 0.5) == pytest.approx(base + c, abs=1e-9)
     assert cvar_empirical(lam * vals, 0.5) == pytest.approx(lam * base, rel=1e-9, abs=1e-9)
+
+
+class TestLazyExpit:
+    def test_bitwise_equal_to_scipy(self):
+        from scipy.special import expit
+
+        edges = [0.0, 1e-300, 30.0, 745.0, 1e3, np.inf]
+        grid = np.concatenate([edges, np.negative(edges), np.linspace(-40.0, 40.0, 8001)])
+        got = risk.expit(grid)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), expit(grid).view(np.uint64))
+        for v in (0.0, -1e-300, 745.0, -np.inf):
+            assert risk.expit(v) == expit(v)
+
+    def test_module_global_is_looked_up_at_call_time(self, monkeypatch):
+        # replacing adasamp.risk.expit must reach every caller that evaluates
+        # the logistic in the quantile solve and the smoothed derivative
+        calls = []
+        original = risk.expit
+
+        def counted(x):
+            calls.append(1)
+            return original(x)
+
+        monkeypatch.setattr(risk, "expit", counted)
+        quantile_solve(np.arange(10.0), 0.9, 0.1)
+        assert len(calls) > 0
+        calls.clear()
+        smooth_plus_deriv(np.arange(3.0), 0.1)
+        assert len(calls) == 1
+        calls.clear()
+        problem, cset = make_portfolio(0)
+        cfg = OptimizerConfig(alpha=0.2, max_iters=2, test=TestConfig(theta=4.0),
+                              initial_sample_size=10, seed=0)
+        run_nested_quantile(problem, cset, 0.9, 0.1, cfg, np.full(100, 0.01))
+        assert len(calls) > 0
 
 
 class TestQuantileSolve:

@@ -1,19 +1,26 @@
-"""Print the SHA-256 of ``records.csv_body`` for every CLI problem x algorithm
-pair at seeds 0-2, 100 iterations each. At that length the sample-bound runs
-reach 10^4-10^5 samples per iteration (basic spgd reaches its 2*10^5 cap),
-so the batched evaluators run at full size. One pass takes about 80 s on
-two Xeon cores.
+"""Print the SHA-256 of ``records.csv_body`` and of the ``.meta.json``
+sidecar for every CLI problem x algorithm pair at seeds 0-2, 100 iterations
+each. At that length the sample-bound runs reach 10^4-10^5 samples per
+iteration (basic spgd reaches its 2*10^5 cap), so the batched evaluators
+run at full size. One pass takes about 80 s on two Xeon cores.
 
-    PYTHONPATH=src python tools/csv_fingerprints.py > after.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/csv_fingerprints.py > after.txt
 
-The CSV body leaves out the wall-clock column, so two versions of the
-library that compute the same trajectories print the same lines. To check
-that a change keeps every trajectory byte-identical, run the script once
+The CSV body leaves out the wall-clock column, and the sidecar is hashed
+without ``config.output`` (the only field that names the run's temporary
+directory), so two versions of the library that compute the same
+trajectories and final states print the same lines. To check that a change
+keeps every trajectory and sidecar byte-identical, run the script once
 against each version's ``src`` and diff the outputs:
 
+    export OPENBLAS_NUM_THREADS=1
     PYTHONPATH=/path/to/old/src python tools/csv_fingerprints.py > before.txt
     PYTHONPATH=src python tools/csv_fingerprints.py > after.txt
     diff before.txt after.txt
+
+One BLAS thread makes the comparison independent of the machine's core
+count: a large BLAS call such as the portfolio's ``xis @ x`` changes in the
+last bit where the BLAS splits the rows between threads.
 
 Uses the standard library and ``adasamp`` only.
 """
@@ -23,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -44,6 +52,18 @@ ALGORITHM_FLAGS = {
 }
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def meta_body(path: str) -> str:
+    """The sidecar as the CLI writes it, with ``config.output`` removed."""
+    with open(path) as fh:
+        meta = json.load(fh)
+    del meta["config"]["output"]
+    return json.dumps(meta, indent=2)
+
+
 def fingerprint(problem: str, algorithm: str, seed: int, workdir: str) -> str:
     out = os.path.join(workdir, f"{problem}_{algorithm}_{seed}.csv")
     argv = ["run", "--problem", problem, "--algorithm", algorithm,
@@ -53,7 +73,7 @@ def fingerprint(problem: str, algorithm: str, seed: int, workdir: str) -> str:
         code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"adasamp {' '.join(argv)} exited with {code}")
-    return hashlib.sha256(csv_body(out).encode()).hexdigest()
+    return f"csv={sha256(csv_body(out))} meta={sha256(meta_body(out + '.meta.json'))}"
 
 
 def main() -> int:
@@ -62,8 +82,8 @@ def main() -> int:
         for problem in cli.PROBLEMS:
             for algorithm in cli.ALGORITHMS:
                 for seed in SEEDS:
-                    digest = fingerprint(problem, algorithm, seed, workdir)
-                    print(f"{problem} {algorithm} seed={seed} {digest}", flush=True)
+                    digests = fingerprint(problem, algorithm, seed, workdir)
+                    print(f"{problem} {algorithm} seed={seed} {digests}", flush=True)
     return 0
 
 
