@@ -15,10 +15,9 @@ from .algorithms import (
     run_spgd_adaptive,
     run_sqp_adaptive,
     spgd_step,
-    sqp_direction,
+    sqp_directions,
 )
 from .geometry import (
-    AffineLinearization,
     Box,
     Halfspace,
     Hyperplane,
@@ -31,7 +30,6 @@ from .geometry import (
     feasibility_residual,
     full_space,
     project,
-    project_affine_linearization,
     project_simplex,
 )
 from .model import (
@@ -52,7 +50,6 @@ from .problems import (
 from .records import RunRecord, compare_runs, read_csv, write_csv
 from .risk import (
     ExtendedProblem,
-    RiskSpec,
     cvar_empirical,
     extend_problem,
     quantile_solve,

@@ -1,7 +1,7 @@
 """Convex constraint sets and Euclidean projection operators.
 
 Every set descriptor is an immutable value object. Leaf sets (orthant, box,
-simplex, halfspace, hyperplane, affine linearization) project in closed form;
+simplex, halfspace, hyperplane) project in closed form;
 intersections are projected with Dykstra's algorithm, which converges to the
 true Euclidean projection rather than merely a feasible point.
 """
@@ -22,13 +22,11 @@ __all__ = [
     "UnitSimplex",
     "Halfspace",
     "Hyperplane",
-    "AffineLinearization",
     "Intersection",
     "ProductWithFree",
     "full_space",
     "project",
     "project_simplex",
-    "project_affine_linearization",
     "feasibility_residual",
 ]
 
@@ -161,29 +159,6 @@ class Hyperplane(ConstraintSet):
 
 
 @dataclass(frozen=True, eq=False)
-class AffineLinearization(ConstraintSet):
-    """Hyperplane {z : <gradient, z> + value = 0}, as produced by linearizing
-    a smooth equality constraint about the current iterate."""
-
-    gradient: np.ndarray
-    value: float
-
-    def __post_init__(self):
-        gradient = _as_vector(self.gradient, "gradient")
-        if not np.any(gradient):
-            raise ValueError("degenerate linearization: zero gradient")
-        object.__setattr__(self, "gradient", gradient)
-        object.__setattr__(self, "value", float(self.value))
-
-    @property
-    def dim(self) -> int:
-        return self.gradient.shape[0]
-
-    def _project(self, y):
-        return project_affine_linearization(self.gradient, self.value, y)
-
-
-@dataclass(frozen=True, eq=False)
 class Intersection(ConstraintSet):
     """Intersection of convex sets, projected iteratively with Dykstra's
     algorithm. Feasibility of the intersection is the caller's responsibility
@@ -243,18 +218,6 @@ def project_simplex(y) -> np.ndarray:
     k = int(np.nonzero(positive)[0][-1]) + 1
     tau = (css[k - 1] - 1.0) / k
     return np.maximum(y - tau, 0.0)
-
-
-def project_affine_linearization(g, value: float, y) -> np.ndarray:
-    """Project y onto the hyperplane {z : <g, z> + value = 0}.
-
-    The result satisfies the linearized constraint exactly.
-    """
-    g = _as_vector(g, "g")
-    if not np.any(g):
-        raise ValueError("degenerate linearization: zero gradient")
-    y = _as_vector(y, "y")
-    return y - ((float(g @ y) + float(value)) / float(g @ g)) * g
 
 
 def _member_residual(members, x, tol, max_iter) -> float:

@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "StochasticProblem",
-    "SeedInfo",
     "SampleSet",
     "GradientStats",
     "stream_rng",
@@ -35,6 +34,9 @@ __all__ = [
 # disjoint Philox keys even when they share a base seed.
 STREAM_SAMPLES = 0
 STREAM_PARAMS = 1
+
+# Rows per block of the blocked per-sample passes.
+_BLOCK_ROWS = 512
 
 
 def stream_rng(base_seed: int, *stream: int) -> np.random.Generator:
@@ -73,28 +75,13 @@ class StochasticProblem:
 
 
 @dataclass(frozen=True)
-class SeedInfo:
-    """Provenance of a sample set; regenerating from it reproduces the set."""
-
-    base_seed: int
-    iteration: int
-    sample_indices: np.ndarray
-
-
-@dataclass(frozen=True)
 class SampleSet:
-    """An ordered collection of realizations with their provenance."""
+    """An ordered collection of realizations."""
 
     realizations: np.ndarray
-    seed_info: SeedInfo
 
     def __len__(self) -> int:
         return self.realizations.shape[0]
-
-    def regenerate(self, problem) -> "SampleSet":
-        return draw_samples(
-            problem, len(self), self.seed_info.iteration, self.seed_info.base_seed
-        )
 
 
 @dataclass(frozen=True)
@@ -119,8 +106,34 @@ def draw_samples(problem, n: int, iteration: int, base_seed: int) -> SampleSet:
         xis = xis[:, None]
     if xis.shape[0] != n:
         raise ValueError(f"sampler returned {xis.shape[0]} realizations, expected {n}")
-    info = SeedInfo(int(base_seed), int(iteration), np.arange(n))
-    return SampleSet(xis, info)
+    return SampleSet(xis)
+
+
+def _row_blocks(n: int):
+    """Row slices of a blocked pass over n rows.
+
+    Blocks start at multiples of 512, so the BLAS kernel groups rows as one
+    single-threaded call over all n rows does: same bits. A one-row block
+    would go through numpy's dot, which sums in another order, so a one-row
+    tail joins the block before it. The blocked results were also the same
+    at one to four BLAS threads, whereas one large call is split between
+    threads, and the rows at the split change in the last bit.
+    """
+    start = 0
+    while start < n:
+        stop = min(start + _BLOCK_ROWS, n)
+        if stop == n - 1:
+            stop = n
+        yield slice(start, stop)
+        start = stop
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v, in the row blocks of ``_row_blocks``."""
+    out = np.empty(m.shape[0])
+    for rows in _row_blocks(m.shape[0]):
+        np.matmul(m[rows], v, out=out[rows])
+    return out
 
 
 def batch_values(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:

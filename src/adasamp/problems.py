@@ -19,7 +19,14 @@ from .geometry import (
     NonNegativeOrthant,
     UnitSimplex,
 )
-from .model import STREAM_PARAMS, StochasticProblem, stream_rng
+from .model import (
+    _BLOCK_ROWS,
+    STREAM_PARAMS,
+    StochasticProblem,
+    _matvec,
+    _row_blocks,
+    stream_rng,
+)
 
 __all__ = [
     "BasicExample",
@@ -27,15 +34,11 @@ __all__ = [
     "basic_optimum",
     "make_basic_example",
     "make_portfolio",
-    "write_param_table",
-    "read_param_table",
 ]
 
 BASIC_DIM = 20
 PORTFOLIO_DIM = 100
 RETURN_THRESHOLD = 1.05
-# Rows per block of the blocked per-sample passes (value pass, correlate).
-_BLOCK_ROWS = 512
 
 
 def basic_optimum(a, b) -> np.ndarray:
@@ -73,28 +76,17 @@ class BasicExample:
         f_star = float(np.sum(a * (x_star**2 - b * x_star + b**2 / 3.0)))
 
         def value_many(x, xis):
-            # (x - b*xi)^2 @ a in blocks through one small buffer. Blocks
-            # start at multiples of 512, so the BLAS kernel groups rows as
-            # one single-threaded call over all n rows does: same bits. A
-            # one-row block would go through numpy's dot, which sums in
-            # another order, so a one-row tail joins the block before it.
-            # The blocked values were also the same at one and two BLAS
-            # threads; one large call is split across threads, and the rows
-            # at the split change in the last bit.
+            # (x - b*xi)^2 @ a in row blocks through one small buffer (a
+            # one-row tail joins the block before it, hence 513 rows)
             n = xis.shape[0]
             values = np.empty(n)
             buf = np.empty((min(n, _BLOCK_ROWS + 1), BASIC_DIM))
-            start = 0
-            while start < n:
-                stop = min(start + _BLOCK_ROWS, n)
-                if stop == n - 1:
-                    stop = n
-                r = buf[: stop - start]
-                np.multiply(xis[start:stop], b, out=r)
+            for rows in _row_blocks(n):
+                r = buf[: rows.stop - rows.start]
+                np.multiply(xis[rows], b, out=r)
                 np.subtract(x, r, out=r)
                 np.square(r, out=r)
-                np.matmul(r, a, out=values[start:stop])
-                start = stop
+                np.matmul(r, a, out=values[rows])
             return values
 
         def grad_many(x, xis):
@@ -115,14 +107,6 @@ class BasicExample:
             params={"a": a, "b": b, "seed": self.seed},
         )
         return problem, NonNegativeOrthant(BASIC_DIM)
-
-    def to_table(self, path) -> None:
-        write_param_table(path, {"a": self.a, "b": self.b})
-
-    @classmethod
-    def from_table(cls, path, seed: int = -1) -> "BasicExample":
-        cols = read_param_table(path)
-        return cls(cols["a"], cols["b"], seed)
 
 
 def _max_return_infeasible(A: np.ndarray) -> bool:
@@ -189,7 +173,8 @@ class PortfolioProblem:
             sampler=sampler,
             value=lambda x, xi: float(-(xi @ x)),
             grad=lambda x, xi: -np.asarray(xi, dtype=float),
-            value_many=lambda x, xis: -(xis @ x),
+            # negation is exact: the same bits as -(xis @ x) at one thread
+            value_many=lambda x, xis: _matvec(xis, -x),
             grad_many=lambda x, xis: -xis,
             params={"A": A, "B": B, "seed": self.seed, "redraws": self.redraws},
         )
@@ -198,14 +183,6 @@ class PortfolioProblem:
         )
         return problem, cset
 
-    def to_table(self, path) -> None:
-        write_param_table(path, {"A": self.A, "B": self.B.ravel()})
-
-    @classmethod
-    def from_table(cls, path, seed: int = -1) -> "PortfolioProblem":
-        cols = read_param_table(path)
-        return cls(cols["A"], cols["B"].reshape(PORTFOLIO_DIM, PORTFOLIO_DIM), seed)
-
 
 def make_basic_example(seed: int) -> Tuple[StochasticProblem, ConstraintSet]:
     return BasicExample.generate(seed).build()
@@ -213,32 +190,3 @@ def make_basic_example(seed: int) -> Tuple[StochasticProblem, ConstraintSet]:
 
 def make_portfolio(seed: int) -> Tuple[StochasticProblem, ConstraintSet]:
     return PortfolioProblem.generate(seed).build()
-
-
-def write_param_table(path, columns: dict) -> None:
-    """Write named parameter vectors as a flat text table: name index value.
-
-    %.17g formatting round-trips float64 exactly.
-    """
-    with open(path, "w") as fh:
-        for name, values in columns.items():
-            flat = np.asarray(values, dtype=float).ravel()
-            for i, v in enumerate(flat):
-                fh.write("%s %d %.17g\n" % (name, i, v))
-
-
-def read_param_table(path) -> dict:
-    """Inverse of write_param_table; returns {name: 1-d array}."""
-    raw: dict = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, idx, val = line.split()
-            raw.setdefault(name, []).append((int(idx), float(val)))
-    out = {}
-    for name, pairs in raw.items():
-        pairs.sort()
-        out[name] = np.array([v for _, v in pairs])
-    return out

@@ -102,13 +102,11 @@ def read_csv(path) -> List[RunRecord]:
     return records
 
 
-def csv_body(path, include_wall_time: bool = False) -> str:
-    """Canonical CSV body for determinism comparison. wall_time_ms is
-    wall-clock, so it is dropped unless explicitly requested."""
+def csv_body(path) -> str:
+    """Canonical CSV body for determinism comparison: the log without its
+    last column, the wall-clock wall_time_ms."""
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if include_wall_time:
-        return "\n".join(lines)
     return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
 
 

@@ -4,7 +4,6 @@ scalar minimization, and the extended problem over (x, t)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -12,7 +11,6 @@ import numpy as np
 from .model import StochasticProblem, batch_grads, batch_values
 
 __all__ = [
-    "RiskSpec",
     "ExtendedProblem",
     "smooth_plus",
     "smooth_plus_deriv",
@@ -22,28 +20,6 @@ __all__ = [
     "smoothed_cvar",
     "extend_problem",
 ]
-
-
-@dataclass(frozen=True)
-class RiskSpec:
-    """Which statistical functional of f(x; xi) is being minimized.
-
-    kind "expectation" ignores beta/epsilon; kind "smoothed-cvar" needs
-    0 <= beta < 1 and epsilon > 0.
-    """
-
-    kind: str = "expectation"
-    beta: float = 0.0
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("expectation", "smoothed-cvar"):
-            raise ValueError(f"unknown risk kind: {self.kind!r}")
-        if self.kind == "smoothed-cvar":
-            if not 0.0 <= self.beta < 1.0:
-                raise ValueError("beta must lie in [0, 1)")
-            if self.epsilon <= 0.0:
-                raise ValueError("epsilon must be positive")
 
 
 def expit(x):

@@ -38,17 +38,14 @@ class TestConfig:
     __test__ = False
 
     theta: float
-    min_sample_size: int = 2
     max_sample_size: int = 10**6
     stationarity_tol: float = 1e-8
 
     def __post_init__(self):
         if self.theta <= 0:
             raise ValueError("theta must be positive")
-        if self.min_sample_size < 2:
-            raise ValueError("min_sample_size must be >= 2 (variance needs two samples)")
-        if self.max_sample_size < self.min_sample_size:
-            raise ValueError("max_sample_size must be >= min_sample_size")
+        if self.max_sample_size < 2:
+            raise ValueError("max_sample_size must be >= 2 (the variance test needs two samples)")
         if self.stationarity_tol <= 0:
             raise ValueError("stationarity_tol must be positive")
 

@@ -10,7 +10,6 @@ import itertools
 import numpy as np
 
 from adasamp.geometry import (
-    AffineLinearization,
     Box,
     Halfspace,
     Hyperplane,
@@ -41,8 +40,6 @@ def linear_constraints(cset):
         return [], [(-cset.normal, -cset.offset)]
     if isinstance(cset, Hyperplane):
         return [(cset.normal, cset.offset)], []
-    if isinstance(cset, AffineLinearization):
-        return [(cset.gradient, -cset.value)], []
     if isinstance(cset, Intersection):
         eqs, ineqs = [], []
         for m in cset.members:
@@ -115,7 +112,7 @@ def random_sets(dim, rng):
         UnitSimplex(dim),
         Halfspace(a, float(rng.normal() * 0.3)),
         Hyperplane(a, float(rng.normal() * 0.3)),
-        AffineLinearization(a, float(rng.normal() * 0.5)),
+        Hyperplane(a, -float(rng.normal() * 0.5)),
         Intersection((NonNegativeOrthant(dim), Hyperplane(np.ones(dim), 1.0))),
         Intersection(
             (UnitSimplex(dim), Halfspace(np.abs(rng.normal(size=dim)) + 0.2, 0.3))

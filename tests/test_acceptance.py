@@ -19,7 +19,7 @@ from adasamp.algorithms import (
     run_spgd_adaptive,
     run_sqp_adaptive,
     spgd_step,
-    sqp_direction,
+    sqp_directions,
 )
 from adasamp.cli import ExperimentConfig, run_experiment
 from adasamp.geometry import project
@@ -271,7 +271,7 @@ def test_criterion_07_sqp_step():
         grad_G[0] += np.sign(grad_G[0] or 1.0)
         G_val = float(rng.normal())
         alpha = float(rng.uniform(0.01, 1.0))
-        d = sqp_direction(grad_F, grad_G, G_val, alpha)
+        d = sqp_directions(np.atleast_2d(grad_F), grad_G, G_val, alpha)[0]
         worst = max(worst, float(np.linalg.norm(d - kkt_sqp_oracle(grad_F, grad_G, G_val, alpha))))
 
     # linearized feasibility along a full run

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from adasamp import algorithms
 from adasamp.algorithms import (
     EqualityConstraint,
     OptimizerConfig,
@@ -12,7 +13,7 @@ from adasamp.algorithms import (
     run_spgd_adaptive,
     run_sqp_adaptive,
     spgd_step,
-    sqp_direction,
+    sqp_directions,
 )
 from adasamp.geometry import NonNegativeOrthant, feasibility_residual, full_space, project
 from adasamp.model import StochasticProblem, draw_samples, sample_gradient
@@ -184,12 +185,12 @@ class TestRunSpgdAdaptive:
 class TestSqpDirection:
     def test_parallel_gradients_give_zero_direction(self):
         g = np.array([1.0, -2.0, 0.5])
-        d = sqp_direction(3.0 * g, g, 0.0, 0.1)
+        d = sqp_directions(np.atleast_2d(3.0 * g), g, 0.0, 0.1)[0]
         np.testing.assert_allclose(d, np.zeros(3), atol=1e-15)
 
     def test_coordinate_constraint_zeroes_first_component(self):
         grad_F = np.array([4.0, -1.0, 2.0])
-        d = sqp_direction(grad_F, np.array([1.0, 0.0, 0.0]), 0.0, 0.2)
+        d = sqp_directions(np.atleast_2d(grad_F), np.array([1.0, 0.0, 0.0]), 0.0, 0.2)[0]
         np.testing.assert_allclose(d, -0.2 * np.array([0.0, -1.0, 2.0]), atol=1e-14)
 
     def test_matches_kkt_oracle(self):
@@ -200,17 +201,17 @@ class TestSqpDirection:
             grad_G[0] += np.sign(grad_G[0] or 1.0)
             G_val = float(RNG.normal())
             alpha = float(RNG.uniform(0.01, 1.0))
-            d = sqp_direction(grad_F, grad_G, G_val, alpha)
+            d = sqp_directions(np.atleast_2d(grad_F), grad_G, G_val, alpha)[0]
             want = kkt_sqp_oracle(grad_F, grad_G, G_val, alpha)
             assert np.linalg.norm(d - want) <= 1e-10
             assert abs(grad_G @ d + G_val) <= 1e-10
 
     def test_zero_constraint_gradient_rejected_when_inconsistent(self):
         with pytest.raises(ValueError):
-            sqp_direction(np.ones(2), np.zeros(2), 1.0, 0.1)
+            sqp_directions(np.atleast_2d(np.ones(2)), np.zeros(2), 1.0, 0.1)
 
     def test_vacuous_constraint_gives_unconstrained_step(self):
-        d = sqp_direction(np.array([2.0, -4.0]), np.zeros(2), 0.0, 0.1)
+        d = sqp_directions(np.atleast_2d(np.array([2.0, -4.0])), np.zeros(2), 0.0, 0.1)[0]
         np.testing.assert_allclose(d, [-0.2, 0.4])
 
 
@@ -402,3 +403,79 @@ class TestGradientOwnership:
         assert len(aliasing_records) == 3
         assert aliasing_records == copying_records
         assert np.array_equal(aliasing.state.x, copying.state.x)
+
+
+def counting(problem):
+    """``problem`` with value_many/grad_many that count the rows they see."""
+    rows = {"value": 0, "grad": 0}
+
+    def count(kind, fn):
+        def counted(x, xis):
+            rows[kind] += len(xis)
+            return fn(x, xis)
+        return counted
+
+    counted = dataclasses.replace(
+        problem,
+        value_many=count("value", problem.value_many),
+        grad_many=count("grad", problem.grad_many),
+    )
+    return counted, rows
+
+
+class TestEvaluatorCounts:
+    # one gradient evaluation per sample, one value pass per iteration (two
+    # through the extended problem), one projection per projected step
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        calls = []
+        original = algorithms.project
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "project", counted)
+        return calls
+
+    def test_spgd(self, basic, projections):
+        problem, rows = counting(basic[0])
+        res = run_spgd_adaptive(problem, basic[1], cfg(iters=30), np.ones(20))
+        cum = res.state.cumulative_grad_evals
+        assert rows == {"value": cum, "grad": cum}
+        assert len(projections) == len(res.records) + 1
+
+    def test_cvar_extended(self, portfolio, projections):
+        problem, rows = counting(portfolio[0])
+        c = cfg(alpha=0.02, iters=10, theta=1.5, seed=5)
+        res = run_cvar_extended(problem, portfolio[1], 0.9, 0.1, c, np.full(100, 0.01))
+        cum = res.state.cumulative_grad_evals
+        # t0 reads s0 values; the extended value and gradient passes each
+        # evaluate the base values
+        assert rows == {"value": 2 * cum + c.initial_sample_size, "grad": cum}
+        # x0, then (x0, t0), then one per iteration
+        assert len(projections) == len(res.records) + 2
+
+    def test_cvar_nested(self, portfolio, projections):
+        problem, rows = counting(portfolio[0])
+        c = cfg(alpha=0.2, iters=10, theta=4.0, seed=5)
+        res = run_nested_quantile(problem, portfolio[1], 0.9, 0.1, c, np.full(100, 0.01))
+        cum = res.state.cumulative_grad_evals
+        assert rows == {"value": cum, "grad": cum}
+        assert len(projections) == len(res.records) + 1
+
+    def test_sqp_with_augmentation(self, projections):
+        problem, rows = counting(noisy_linear(np.array([1.0, 0.5, -0.3, 0.8, 0.2]), 0.05))
+        sphere = EqualityConstraint(
+            value=lambda x: float(x @ x) - 1.0, grad=lambda x: 2.0 * np.asarray(x, float)
+        )
+        run_cfg = cfg(
+            alpha=0.1, iters=120, theta=1.0, s0=8, seed=2,
+            test_kw={"max_sample_size": 20000},
+        )
+        res = run_sqp_adaptive(problem, sphere, run_cfg, np.full(5, 0.7))
+        assert sum(res.extras["augment_rounds"]) > 0
+        cum = res.state.cumulative_grad_evals
+        assert rows == {"value": cum, "grad": cum}
+        assert projections == []

@@ -1,0 +1,74 @@
+"""The portfolio value pass and the SQP directions are blocked matrix-vector
+products, so their bits do not depend on the BLAS thread count. One large
+call is split across threads, and the rows at the split change in the last
+bit; the OpenBLAS thread count is read once at start-up, hence one
+subprocess per setting."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import adasamp
+
+# 513 and 1025 end in a one-row tail block; at 6003 and 20003 rows one large
+# call runs on two threads (with OpenBLAS, above a few thousand rows of 100)
+# and splits the rows unevenly.
+SIZES = (513, 1025, 6003, 20003)
+
+SCRIPT = r"""
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+from adasamp.algorithms import sqp_directions
+from adasamp.model import draw_samples
+from adasamp.problems import make_portfolio
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+problem, _ = make_portfolio(0)
+x = np.full(problem.dim, 1.0 / np.sqrt(problem.dim))
+grad_G, G_val, alpha = 2.0 * x, 0.25, 0.025
+g_sq = float(grad_G @ grad_G)
+out = {}
+for n in json.loads(sys.argv[1]):
+    xis = draw_samples(problem, n, 3, 0).realizations
+    grads = -xis
+    single = (G_val - alpha * (grads @ grad_G)) / (alpha * g_sq)
+    out[n] = {
+        "values": digest(problem.value_many(x, xis)),
+        "values_single_call": digest(-(xis @ x)),
+        "directions": digest(sqp_directions(grads, grad_G, G_val, alpha)),
+        "directions_single_call": digest(-alpha * (grads + single[:, None] * grad_G)),
+    }
+print(json.dumps(out))
+"""
+
+
+def digests(threads: int) -> dict:
+    src = str(Path(adasamp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(SIZES)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_value_pass_and_sqp_directions_do_not_depend_on_blas_threads():
+    one, two = digests(1), digests(2)
+    for n in map(str, SIZES):
+        # the same bits as one single-threaded call over all rows ...
+        assert one[n]["values"] == one[n]["values_single_call"], n
+        assert one[n]["directions"] == one[n]["directions_single_call"], n
+        # ... at any thread count
+        assert two[n]["values"] == one[n]["values"], n
+        assert two[n]["directions"] == one[n]["directions"], n

@@ -14,7 +14,6 @@ from adasamp.geometry import (
     feasibility_residual,
     full_space,
     project,
-    project_affine_linearization,
     project_simplex,
 )
 from oracles import qp_projection_oracle, random_sets
@@ -61,14 +60,14 @@ class TestClosedForms:
 
 
 class TestAffineLinearization:
+    # the linearization {z : <g, z> + value = 0} is Hyperplane(g, -value)
+
     def test_identity_on_plane(self):
         y = np.array([0.0, 5.0])
-        np.testing.assert_allclose(
-            project_affine_linearization(np.array([1.0, 0.0]), 0.0, y), y
-        )
+        np.testing.assert_allclose(project(Hyperplane(np.array([1.0, 0.0]), 0.0), y).point, y)
 
     def test_coordinate_plane(self):
-        out = project_affine_linearization(np.array([1.0, 0.0]), 0.0, [3.0, 5.0])
+        out = project(Hyperplane(np.array([1.0, 0.0]), 0.0), [3.0, 5.0]).point
         np.testing.assert_allclose(out, [0.0, 5.0])
 
     def test_random_residual(self):
@@ -78,12 +77,12 @@ class TestAffineLinearization:
             g[0] += np.sign(g[0] or 1.0)  # keep away from zero
             val = float(RNG.normal())
             y = RNG.normal(size=dim) * 3
-            out = project_affine_linearization(g, val, y)
+            out = project(Hyperplane(g, -val), y).point
             assert abs(g @ out + val) <= 1e-12
 
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError):
-            project_affine_linearization(np.zeros(3), 1.0, np.ones(3))
+            Hyperplane(np.zeros(3), -1.0)
 
 
 class TestDykstra:

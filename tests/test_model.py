@@ -27,11 +27,6 @@ class TestDrawSamples:
         b = draw_samples(problem, 25, 4, 99)
         np.testing.assert_array_equal(a.realizations, b.realizations)
 
-    def test_regenerate_from_seed_info(self, basic):
-        problem, _ = basic
-        a = draw_samples(problem, 13, 2, 5)
-        np.testing.assert_array_equal(a.regenerate(problem).realizations, a.realizations)
-
     def test_iterations_use_disjoint_streams(self, basic):
         problem, _ = basic
         a = draw_samples(problem, 5, 0, 99)

@@ -11,8 +11,6 @@ from adasamp.problems import (
     basic_optimum,
     make_basic_example,
     make_portfolio,
-    read_param_table,
-    write_param_table,
 )
 from oracles import central_diff, rel_err
 
@@ -191,29 +189,3 @@ class TestPortfolio:
         u = rng.standard_normal((1300, 100))
         B = rng.uniform(0.0, 0.1, size=(100, 100))
         np.testing.assert_allclose(_correlate(u, B), u @ B.T, rtol=1e-13, atol=1e-15)
-
-
-class TestParamTables:
-    def test_round_trip_exact(self, tmp_path, basic):
-        problem, _ = basic
-        path = tmp_path / "params.txt"
-        write_param_table(path, {"a": problem.params["a"], "b": problem.params["b"]})
-        back = read_param_table(path)
-        np.testing.assert_array_equal(back["a"], problem.params["a"])
-        np.testing.assert_array_equal(back["b"], problem.params["b"])
-
-    def test_basic_example_helpers(self, tmp_path):
-        ex = BasicExample.generate(9)
-        path = tmp_path / "basic.txt"
-        ex.to_table(path)
-        again = BasicExample.from_table(path, seed=9)
-        np.testing.assert_array_equal(again.a, ex.a)
-        np.testing.assert_array_equal(again.b, ex.b)
-
-    def test_portfolio_matrix_round_trip(self, tmp_path):
-        ex = PortfolioProblem.generate(11)
-        path = tmp_path / "portfolio.txt"
-        ex.to_table(path)
-        again = PortfolioProblem.from_table(path, seed=11)
-        np.testing.assert_array_equal(again.A, ex.A)
-        np.testing.assert_array_equal(again.B, ex.B)

@@ -10,7 +10,6 @@ from adasamp.model import draw_samples
 from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.risk import (
     ExtendedProblem,
-    RiskSpec,
     cvar_empirical,
     extend_problem,
     quantile_solve,
@@ -216,23 +215,6 @@ class TestSmoothedCvar:
                 for eps in (0.1, 0.01):
                     gap = abs(smoothed_cvar(vals, beta, eps) - cvar_empirical(vals, beta))
                     assert gap <= eps * math.log(2.0) / (1.0 - beta) + 1e-10
-
-
-class TestRiskSpec:
-    def test_expectation_default(self):
-        assert RiskSpec().kind == "expectation"
-
-    def test_validates_beta(self):
-        with pytest.raises(ValueError):
-            RiskSpec(kind="smoothed-cvar", beta=1.0, epsilon=0.1)
-
-    def test_validates_epsilon(self):
-        with pytest.raises(ValueError):
-            RiskSpec(kind="smoothed-cvar", beta=0.5, epsilon=0.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            RiskSpec(kind="entropic")
 
 
 @pytest.fixture(scope="module")

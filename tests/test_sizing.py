@@ -119,11 +119,7 @@ class TestConfigValidation:
 
     def test_rejects_min_below_two(self):
         with pytest.raises(ValueError):
-            TestConfig(theta=1.0, min_sample_size=1)
-
-    def test_rejects_cap_below_min(self):
-        with pytest.raises(ValueError):
-            TestConfig(theta=1.0, min_sample_size=4, max_sample_size=3)
+            TestConfig(theta=1.0, max_sample_size=1)
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,11 @@ against each version's ``src`` and diff the outputs:
     PYTHONPATH=src python tools/csv_fingerprints.py > after.txt
     diff before.txt after.txt
 
-One BLAS thread makes the comparison independent of the machine's core
-count: a large BLAS call such as the portfolio's ``xis @ x`` changes in the
-last bit where the BLAS splits the rows between threads.
+The output is the same at one and two BLAS threads, because the large
+matrix-vector products run in fixed 512-row blocks, whose bits do not
+change with the thread count. One thread is still needed to compare against versions
+that ran the portfolio's ``xis @ x`` as one call: its rows at the thread
+split change in the last bit.
 
 Uses the standard library and ``adasamp`` only.
 """
