@@ -18,7 +18,6 @@ from .algorithms import (
     sqp_directions,
 )
 from .geometry import (
-    Box,
     Halfspace,
     Hyperplane,
     Intersection,
@@ -27,8 +26,6 @@ from .geometry import (
     ProjectionError,
     ProjectionResult,
     UnitSimplex,
-    feasibility_residual,
-    full_space,
     project,
     project_simplex,
 )
@@ -51,20 +48,10 @@ from .records import RunRecord, compare_runs, read_csv, write_csv
 from .risk import (
     ExtendedProblem,
     cvar_empirical,
-    extend_problem,
     quantile_solve,
     smooth_plus,
     smooth_plus_deriv,
     smoothed_cvar,
     var_empirical,
 )
-from .sizing import (
-    DiagnosticEstimate,
-    DiagnosticReport,
-    StationaryGradientError,
-    TestConfig,
-    TestOutcome,
-    condition_diagnostic,
-    norm_test,
-    sqp_norm_test,
-)
+from .sizing import TestConfig, TestOutcome, norm_test, sqp_norm_test

@@ -33,7 +33,7 @@ from .model import (
     sample_objective,
 )
 from .records import RunRecord
-from .risk import expit, extend_problem, quantile_solve, smooth_plus
+from .risk import ExtendedProblem, expit, quantile_solve, smooth_plus
 from .sizing import TestConfig, norm_test, sqp_norm_test
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
 
 STATUS_COMPLETED = "completed"
 STATUS_STATIONARY = "stationary"
-STATUS_BUDGET = "budget-exhausted"
 STATUS_SAMPLE_BUDGET = "sample-budget-exhausted"
 
 
@@ -62,8 +61,7 @@ class OptimizerConfig:
     With ``adaptive`` False the sample-size test is disabled entirely and the
     size stays at ``initial_sample_size`` (the rho column stays empty).
     Stopping: always after ``max_iters``; early on stationarity (reduced
-    gradient below test.stationarity_tol * (1 + ||x||)); early once
-    ``grad_eval_budget`` cumulative gradient evaluations are spent.
+    gradient norm at most STATIONARITY_TOL * (1 + ||x||)).
     """
 
     alpha: float
@@ -72,7 +70,6 @@ class OptimizerConfig:
     initial_sample_size: int = 10
     seed: int = 0
     adaptive: bool = True
-    grad_eval_budget: Optional[int] = None
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -121,8 +118,11 @@ class _Step:
     extras: dict = field(default_factory=dict)
 
 
-def _stationary(reduced_grad, x, test: TestConfig) -> bool:
-    guard = test.stationarity_tol * (1.0 + float(np.linalg.norm(x)))
+STATIONARITY_TOL = 1e-8
+
+
+def _stationary(reduced_grad, x) -> bool:
+    guard = STATIONARITY_TOL * (1.0 + float(np.linalg.norm(x)))
     return float(np.linalg.norm(reduced_grad)) <= guard
 
 
@@ -142,7 +142,7 @@ def _projected_step(
     step = _Step(x_next, (x - x_next) / alpha, stats.n)
     if cfg is None:
         return step
-    if _stationary(step.reduced_grad, x, cfg.test):
+    if _stationary(step.reduced_grad, x):
         step.status = STATUS_STATIONARY
     elif cfg.adaptive:
         outcome = norm_test(stats, step.reduced_grad, cfg.test)
@@ -181,10 +181,9 @@ def _drive(
     ``step(x, sample_set, k)`` estimates, tests and sizes on it. The loop
     counts the gradient evaluations, times and records each iteration,
     collects the step's extras into per-key lists, and stops on the step's
-    status, after ``max_iters``, or once ``grad_eval_budget`` gradient
-    evaluations are spent. A set stays referenced until the next one is
-    drawn: freed at the end of its step, it let glibc's allocator trim the
-    heap between iterations, and a basic spgd run (seed 0, cap 2e5) took
+    status or after ``max_iters``. A set stays referenced until the next one
+    is drawn: freed at the end of its step, it let glibc's allocator trim
+    the heap between iterations, and a basic spgd run (seed 0, cap 2e5) took
     69-97k minor page faults instead of 26k.
     """
     n = cfg.initial_sample_size
@@ -210,9 +209,6 @@ def _drive(
             break
         x = s.x_next
         n = s.next_n or s.n
-        if cfg.grad_eval_budget is not None and cum >= cfg.grad_eval_budget:
-            status = STATUS_BUDGET
-            break
 
     state = OptimizerState(x, None, n, cum, len(records))
     return RunResult(records, status, state, iterates, extras)
@@ -318,7 +314,7 @@ def run_sqp_adaptive(
             # -1/alpha; testing them keeps the stationarity guard on the
             # same scale as the projected drivers'
             reduced_grad = -d_mean / cfg.alpha
-            if _stationary(reduced_grad, x, cfg.test):
+            if _stationary(reduced_grad, x):
                 status = STATUS_STATIONARY
                 break
             if not cfg.adaptive:
@@ -364,7 +360,7 @@ def run_cvar_extended(
     """
     if beta == 0.0:
         return run_spgd_adaptive(problem, cset, cfg, x0)
-    extended = extend_problem(problem, beta, epsilon)
+    extended = ExtendedProblem(problem, beta, epsilon)
     x_start = project(cset, np.asarray(x0, dtype=float)).point
     s0 = draw_samples(problem, cfg.initial_sample_size, 0, cfg.seed)
     t0 = float(np.mean(batch_values(problem, x_start, s0.realizations)))

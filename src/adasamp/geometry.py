@@ -1,9 +1,9 @@
 """Convex constraint sets and Euclidean projection operators.
 
-Every set descriptor is an immutable value object. Leaf sets (orthant, box,
-simplex, halfspace, hyperplane) project in closed form;
-intersections are projected with Dykstra's algorithm, which converges to the
-true Euclidean projection rather than merely a feasible point.
+Every set descriptor is an immutable value object. Leaf sets (orthant,
+simplex, halfspace, hyperplane) project in closed form; intersections are
+projected with Dykstra's algorithm, which converges to the true Euclidean
+projection rather than merely a feasible point.
 """
 
 from __future__ import annotations
@@ -18,17 +18,20 @@ __all__ = [
     "ProjectionResult",
     "ConstraintSet",
     "NonNegativeOrthant",
-    "Box",
     "UnitSimplex",
     "Halfspace",
     "Hyperplane",
     "Intersection",
     "ProductWithFree",
-    "full_space",
     "project",
     "project_simplex",
-    "feasibility_residual",
 ]
+
+# Dykstra stops once the iterate change, the correction increments and the
+# member residual are all within PROJECTION_TOL, and gives up after
+# PROJECTION_MAX_ITER cycles.
+PROJECTION_TOL = 1e-10
+PROJECTION_MAX_ITER = 10000
 
 
 class ProjectionError(RuntimeError):
@@ -72,29 +75,6 @@ class NonNegativeOrthant(ConstraintSet):
 
     def _project(self, y):
         return np.maximum(y, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class Box(ConstraintSet):
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = _as_vector(self.lower, "lower")
-        upper = _as_vector(self.upper, "upper")
-        if lower.shape != upper.shape:
-            raise ValueError("lower and upper must have equal length")
-        if np.any(lower > upper):
-            raise ValueError("box requires lower <= upper componentwise")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    def _project(self, y):
-        return np.clip(y, self.lower, self.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,11 +177,6 @@ class ProductWithFree(ConstraintSet):
         return self.base.dim + self.n_free
 
 
-def full_space(dim: int) -> Box:
-    """The unconstrained set R^dim, expressed as a box with infinite bounds."""
-    return Box(np.full(dim, -np.inf), np.full(dim, np.inf))
-
-
 def project_simplex(y) -> np.ndarray:
     """Euclidean projection onto {x : x >= 0, sum(x) = 1}.
 
@@ -220,22 +195,19 @@ def project_simplex(y) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
-def _member_residual(members, x, tol, max_iter) -> float:
-    return max(
-        float(np.linalg.norm(x - project(m, x, tol, max_iter).point))
-        for m in members
-    )
+def _member_residual(members, x) -> float:
+    return max(float(np.linalg.norm(x - project(m, x).point)) for m in members)
 
 
-def _dykstra(members, y, tol: float, max_iter: int) -> ProjectionResult:
+def _dykstra(members, y) -> ProjectionResult:
     x = np.array(y, dtype=float)
     corrections = [np.zeros_like(x) for _ in members]
-    for it in range(1, max_iter + 1):
+    for it in range(1, PROJECTION_MAX_ITER + 1):
         x_prev = x.copy()
         corr_change_sq = 0.0
         for i, m in enumerate(members):
             w = x + corrections[i]
-            px = project(m, w, tol, max_iter).point
+            px = project(m, w).point
             new_p = w - px
             corr_change_sq += float(np.sum((new_p - corrections[i]) ** 2))
             corrections[i] = new_p
@@ -244,39 +216,32 @@ def _dykstra(members, y, tol: float, max_iter: int) -> ProjectionResult:
         # while the corrections still move, so convergence needs the
         # correction increments to vanish too, not just the iterate change.
         if (
-            float(np.linalg.norm(x - x_prev)) <= tol
-            and math.sqrt(corr_change_sq) <= tol
+            float(np.linalg.norm(x - x_prev)) <= PROJECTION_TOL
+            and math.sqrt(corr_change_sq) <= PROJECTION_TOL
         ):
-            residual = _member_residual(members, x, tol, max_iter)
-            if residual <= tol:
+            residual = _member_residual(members, x)
+            if residual <= PROJECTION_TOL:
                 return ProjectionResult(x, it, residual)
     raise ProjectionError(
-        f"Dykstra did not converge in {max_iter} iterations "
+        f"Dykstra did not converge in {PROJECTION_MAX_ITER} iterations "
         "(intersection may be empty)"
     )
 
 
-def project(cset: ConstraintSet, y, tol: float = 1e-10, max_iter: int = 10000) -> ProjectionResult:
+def project(cset: ConstraintSet, y) -> ProjectionResult:
     """Euclidean projection of y onto the set.
 
     Closed form for leaf sets; Dykstra's alternating projections for
     intersections, terminating when the iterate change, the correction
-    increments, and the feasibility residual all fall below tol.
+    increments, and the feasibility residual all fall below PROJECTION_TOL.
     """
     y = _as_vector(y, "y")
     if y.shape[0] != cset.dim:
         raise ValueError(f"point has dimension {y.shape[0]}, set expects {cset.dim}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if isinstance(cset, Intersection):
-        return _dykstra(cset.members, y, tol, max_iter)
+        return _dykstra(cset.members, y)
     if isinstance(cset, ProductWithFree):
-        head = project(cset.base, y[: cset.base.dim], tol, max_iter)
+        head = project(cset.base, y[: cset.base.dim])
         point = np.concatenate([head.point, y[cset.base.dim:]])
         return ProjectionResult(point, head.iterations, head.residual)
     return ProjectionResult(cset._project(y), 0, 0.0)
-
-
-def feasibility_residual(cset: ConstraintSet, y, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Distance from y to the set, measured through its projection."""
-    return float(np.linalg.norm(_as_vector(y, "y") - project(cset, y, tol, max_iter).point))

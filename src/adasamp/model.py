@@ -53,9 +53,10 @@ class StochasticProblem:
 
     ``sampler(rng, n)`` must return an (n, xi_dim) array and draw in a
     prefix-stable way (one vectorized call, row i depending only on the
-    first i+1 blocks of the stream). ``value``/``grad`` evaluate one
-    realization; the optional ``value_many``/``grad_many`` evaluate a whole
-    set at once and must agree with the per-sample versions.
+    first i+1 blocks of the stream). ``value_many(x, xis)`` returns the (n,)
+    values f(x; xi_i) and ``grad_many(x, xis)`` the (n, dim) gradients, one
+    row per realization; a single realization is the one-row block
+    ``xi[None]``.
 
     Ownership: the array ``grad_many`` returns passes to the caller, which
     may overwrite it (``gradient_stats`` does). Return a fresh array, or
@@ -65,12 +66,9 @@ class StochasticProblem:
 
     dim: int
     sampler: Callable[[np.random.Generator, int], np.ndarray]
-    value: Callable[[np.ndarray, np.ndarray], float]
-    grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    value_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    grad_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    value_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    grad_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     known_optimum: Optional[np.ndarray] = None
-    known_optimal_value: Optional[float] = None
     params: Optional[dict] = None
 
 
@@ -137,12 +135,8 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def batch_values(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Per-sample objective values f(x; xi_i), vectorized when the problem
-    provides ``value_many``."""
-    many = getattr(problem, "value_many", None)
-    if many is not None:
-        return np.asarray(many(x, xis), dtype=float)
-    return np.array([problem.value(x, xi) for xi in xis], dtype=float)
+    """Per-sample objective values f(x; xi_i), shape (n,)."""
+    return np.asarray(problem.value_many(x, xis), dtype=float)
 
 
 def batch_grads(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -154,13 +148,10 @@ def batch_grads(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     never alters the sample set, and so is a read-only one (such as
     ``np.broadcast_to`` returns).
     """
-    many = getattr(problem, "grad_many", None)
-    if many is not None:
-        grads = np.asarray(many(x, xis), dtype=float)
-        if not grads.flags.writeable or np.shares_memory(grads, xis):
-            grads = grads.copy()
-        return grads
-    return np.array([problem.grad(x, xi) for xi in xis], dtype=float)
+    grads = np.asarray(problem.grad_many(x, xis), dtype=float)
+    if not grads.flags.writeable or np.shares_memory(grads, xis):
+        grads = grads.copy()
+    return grads
 
 
 def sample_objective(problem, x, sample_set: SampleSet) -> float:

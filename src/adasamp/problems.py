@@ -71,9 +71,6 @@ class BasicExample:
     def build(self) -> Tuple[StochasticProblem, ConstraintSet]:
         a, b = self.a, self.b
         two_a = 2.0 * a
-        x_star = basic_optimum(a, b)
-        # E[(x - b xi)^2] = x^2 - b x + b^2/3 for xi ~ Unif(0,1)
-        f_star = float(np.sum(a * (x_star**2 - b * x_star + b**2 / 3.0)))
 
         def value_many(x, xis):
             # (x - b*xi)^2 @ a in row blocks through one small buffer (a
@@ -98,12 +95,9 @@ class BasicExample:
         problem = StochasticProblem(
             dim=BASIC_DIM,
             sampler=lambda rng, n: rng.random((n, BASIC_DIM)),
-            value=lambda x, xi: float(np.sum(a * (x - b * xi) ** 2)),
-            grad=lambda x, xi: 2.0 * a * (x - b * xi),
             value_many=value_many,
             grad_many=grad_many,
-            known_optimum=x_star,
-            known_optimal_value=f_star,
+            known_optimum=basic_optimum(a, b),
             params={"a": a, "b": b, "seed": self.seed},
         )
         return problem, NonNegativeOrthant(BASIC_DIM)
@@ -171,8 +165,6 @@ class PortfolioProblem:
         problem = StochasticProblem(
             dim=PORTFOLIO_DIM,
             sampler=sampler,
-            value=lambda x, xi: float(-(xi @ x)),
-            grad=lambda x, xi: -np.asarray(xi, dtype=float),
             # negation is exact: the same bits as -(xis @ x) at one thread
             value_many=lambda x, xis: _matvec(xis, -x),
             grad_many=lambda x, xis: -xis,

@@ -82,11 +82,16 @@ def read_csv(path) -> List[RunRecord]:
         if tuple(header.split(",")) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV schema in {path}: {header!r}")
         records = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) != len(CSV_COLUMNS):
+                raise ValueError(
+                    f"{path}, line {lineno}: expected {len(CSV_COLUMNS)} fields, "
+                    f"got {len(parts)}"
+                )
             records.append(
                 RunRecord(
                     iteration=int(parts[0]),

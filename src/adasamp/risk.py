@@ -4,7 +4,6 @@ scalar minimization, and the extended problem over (x, t)."""
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -18,8 +17,10 @@ __all__ = [
     "cvar_empirical",
     "quantile_solve",
     "smoothed_cvar",
-    "extend_problem",
 ]
+
+# Bracket width at which quantile_solve stops bisecting.
+QUANTILE_TOL = 1e-12
 
 
 def expit(x):
@@ -90,12 +91,13 @@ def cvar_empirical(values, beta: float) -> float:
     return float(np.min(v + tail_means / (1.0 - beta)))
 
 
-def quantile_solve(values, beta: float, epsilon: float, tol: float = 1e-12) -> float:
+def quantile_solve(values, beta: float, epsilon: float) -> float:
     """The unique t with mean(sigma((v_i - t)/epsilon)) = 1 - beta, by bisection.
 
     The left side is continuous and strictly decreasing in t, and the bracket
     [min(v) - epsilon*B, max(v) + epsilon*B] with B = ln(N / min(beta, 1-beta))
-    guarantees a sign change. Terminates when the bracket width is <= tol.
+    guarantees a sign change. Terminates when the bracket width is at most
+    QUANTILE_TOL. A NaN or infinite value has no such t and is rejected.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -104,16 +106,20 @@ def quantile_solve(values, beta: float, epsilon: float, tol: float = 1e-12) -> f
         raise ValueError("beta must lie strictly in (0, 1)")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    # min and max propagate NaN, so these two cover every entry
+    v_min, v_max = float(values.min()), float(values.max())
+    if not (math.isfinite(v_min) and math.isfinite(v_max)):
+        raise ValueError("quantile_solve needs finite values (got NaN or inf)")
     target = 1.0 - beta
     pad = epsilon * math.log(values.size / min(beta, 1.0 - beta))
-    lo = float(values.min()) - pad
-    hi = float(values.max()) + pad
+    lo = v_min - pad
+    hi = v_max + pad
 
     def resid(t):
         return float(np.mean(expit((values - t) / epsilon))) - target
 
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= QUANTILE_TOL:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -125,12 +131,12 @@ def quantile_solve(values, beta: float, epsilon: float, tol: float = 1e-12) -> f
     return 0.5 * (lo + hi)
 
 
-def smoothed_cvar(values, beta: float, epsilon: float, tol: float = 1e-12) -> float:
+def smoothed_cvar(values, beta: float, epsilon: float) -> float:
     """Smoothed CVaR: t* + mean(smooth_plus(v - t*, epsilon))/(1-beta) with t*
     the quantile_solve minimizer. Differs from cvar_empirical by at most
     epsilon*ln(2)/(1-beta)."""
     values = np.asarray(values, dtype=float)
-    t_star = quantile_solve(values, beta, epsilon, tol)
+    t_star = quantile_solve(values, beta, epsilon)
     return float(t_star + np.mean(smooth_plus(values - t_star, epsilon)) / (1.0 - beta))
 
 
@@ -152,9 +158,6 @@ class ExtendedProblem:
         self.beta = float(beta)
         self.epsilon = float(epsilon)
         self.dim = base.dim + 1
-        self.known_optimum: Optional[np.ndarray] = None
-        self.known_optimal_value: Optional[float] = None
-        self.params = base.params
 
     def sampler(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.base.sampler(rng, n)
@@ -163,20 +166,10 @@ class ExtendedProblem:
         z = np.asarray(z, dtype=float)
         return z[:-1], float(z[-1])
 
-    def value(self, z, xi) -> float:
-        x, t = self._split(z)
-        return t + smooth_plus(self.base.value(x, xi) - t, self.epsilon) / (1.0 - self.beta)
-
     def value_many(self, z, xis) -> np.ndarray:
         x, t = self._split(z)
         fs = batch_values(self.base, x, xis)
         return t + smooth_plus(fs - t, self.epsilon) / (1.0 - self.beta)
-
-    def grad(self, z, xi) -> np.ndarray:
-        x, t = self._split(z)
-        s = smooth_plus_deriv(self.base.value(x, xi) - t, self.epsilon) / (1.0 - self.beta)
-        gx = s * np.asarray(self.base.grad(x, xi), dtype=float)
-        return np.concatenate([gx, [1.0 - s]])
 
     def grad_many(self, z, xis) -> np.ndarray:
         x, t = self._split(z)
@@ -188,7 +181,3 @@ class ExtendedProblem:
         np.subtract(1.0, s, out=out[:, -1])
         return out
 
-
-def extend_problem(base: StochasticProblem, beta: float, epsilon: float) -> ExtendedProblem:
-    """Lift a problem to the (x, t) formulation of smoothed-CVaR minimization."""
-    return ExtendedProblem(base, beta, epsilon)

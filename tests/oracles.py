@@ -3,20 +3,62 @@
 These deliberately avoid the library's own algorithms: projections are
 verified against an exhaustive active-set QP enumeration, SQP steps against a
 dense KKT linear system, and gradients against central finite differences.
+The box, a leaf set only the tests use, is defined here too.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from adasamp.geometry import (
-    Box,
+    ConstraintSet,
     Halfspace,
     Hyperplane,
     Intersection,
     NonNegativeOrthant,
     UnitSimplex,
+    project,
 )
+from adasamp.model import StochasticProblem
+
+
+@dataclass(frozen=True, eq=False)
+class Box(ConstraintSet):
+    """The box {x : lower <= x <= upper}, a leaf set projected by clipping;
+    infinite bounds are allowed."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.lower.shape[0]
+
+    def _project(self, y):
+        return np.clip(y, self.lower, self.upper)
+
+
+def full_space(dim):
+    """The unconstrained set R^dim, as a box with infinite bounds."""
+    return Box(np.full(dim, -np.inf), np.full(dim, np.inf))
+
+
+def feasibility_residual(cset, y):
+    """Distance from y to the set, measured through its projection."""
+    y = np.asarray(y, dtype=float)
+    return float(np.linalg.norm(y - project(cset, y).point))
+
+
+def rowwise_problem(dim, sampler, value, grad):
+    """A problem whose batched evaluators loop the per-sample formulas
+    ``value(x, xi)`` and ``grad(x, xi)`` over the rows of xis."""
+    return StochasticProblem(
+        dim=dim,
+        sampler=sampler,
+        value_many=lambda x, xis: np.array([value(x, xi) for xi in xis], dtype=float),
+        grad_many=lambda x, xis: np.array([grad(x, xi) for xi in xis], dtype=float),
+    )
 
 
 def linear_constraints(cset):

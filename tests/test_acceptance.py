@@ -33,8 +33,8 @@ from adasamp.model import (
 from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.records import csv_body
 from adasamp.risk import (
+    ExtendedProblem,
     cvar_empirical,
-    extend_problem,
     quantile_solve,
     smooth_plus,
     smoothed_cvar,
@@ -190,7 +190,7 @@ def test_criterion_04_gradient_correctness(basic, portfolio):
             )
 
     base, _ = basic
-    extended = extend_problem(base, 0.9, 0.1)
+    extended = ExtendedProblem(base, 0.9, 0.1)
     s = draw_samples(extended, 30, 0, 78)
     for _ in range(5):
         z = np.concatenate([rng.normal(size=20) * 0.5 + 0.5, [rng.normal() * 2 + 3]])
@@ -280,8 +280,6 @@ def test_criterion_07_sqp_step():
     problem = StochasticProblem(
         dim=problem_dim,
         sampler=lambda g, n: c + 0.05 * g.standard_normal((n, problem_dim)),
-        value=lambda x, xi: float(-(xi @ x)),
-        grad=lambda x, xi: -np.asarray(xi, dtype=float),
         value_many=lambda x, xis: -(xis @ x),
         grad_many=lambda x, xis: -xis,
     )

@@ -15,12 +15,19 @@ from adasamp.algorithms import (
     spgd_step,
     sqp_directions,
 )
-from adasamp.geometry import NonNegativeOrthant, feasibility_residual, full_space, project
+from adasamp.geometry import NonNegativeOrthant, project
 from adasamp.model import StochasticProblem, draw_samples, sample_gradient
 from adasamp.problems import make_basic_example, make_portfolio
-from adasamp.risk import extend_problem
+from adasamp.risk import ExtendedProblem
 from adasamp.sizing import TestConfig
-from oracles import central_diff, kkt_sqp_oracle, rel_err
+from oracles import (
+    central_diff,
+    feasibility_residual,
+    full_space,
+    kkt_sqp_oracle,
+    rel_err,
+    rowwise_problem,
+)
 
 RNG = np.random.default_rng(515)
 
@@ -38,11 +45,11 @@ def portfolio():
 def quadratic_deterministic(c):
     """f(x; xi) = ||x - c||^2 / 2, independent of the sample."""
     c = np.asarray(c, dtype=float)
-    return StochasticProblem(
-        dim=c.size,
-        sampler=lambda rng, n: rng.random((n, 1)),
-        value=lambda x, xi: 0.5 * float((x - c) @ (x - c)),
-        grad=lambda x, xi: np.asarray(x - c, dtype=float),
+    return rowwise_problem(
+        c.size,
+        lambda rng, n: rng.random((n, 1)),
+        lambda x, xi: 0.5 * float((x - c) @ (x - c)),
+        lambda x, xi: np.asarray(x - c, dtype=float),
     )
 
 
@@ -52,8 +59,6 @@ def noisy_linear(c, spread):
     return StochasticProblem(
         dim=c.size,
         sampler=lambda rng, n: c + spread * rng.standard_normal((n, c.size)),
-        value=lambda x, xi: float(-(xi @ x)),
-        grad=lambda x, xi: -np.asarray(xi, dtype=float),
         value_many=lambda x, xis: -(xis @ x),
         grad_many=lambda x, xis: -xis,
     )
@@ -64,8 +69,6 @@ def linear_returning(grad_many):
     return StochasticProblem(
         dim=3,
         sampler=lambda rng, n: 0.5 + rng.random((n, 3)),
-        value=lambda x, xi: float(x @ xi),
-        grad=lambda x, xi: np.asarray(xi, dtype=float),
         value_many=lambda x, xis: xis @ x,
         grad_many=grad_many,
     )
@@ -159,15 +162,6 @@ class TestRunSpgdAdaptive:
         res = run_spgd_adaptive(problem, full_space(3), cfg(iters=50), np.zeros(3))
         assert res.status == "stationary"
         assert len(res.records) == 1
-
-    def test_grad_eval_budget_stops_run(self, basic):
-        problem, cset = basic
-        res = run_spgd_adaptive(
-            problem, cset, cfg(iters=50, grad_eval_budget=25), np.ones(20)
-        )
-        assert res.status == "budget-exhausted"
-        assert res.records[-1].cumulative_grad_evals >= 25
-        assert len(res.records) == 3
 
     def test_q_linear_slope_negative_for_moderate_theta(self, basic):
         # log-error slope over iterations 10..150 stays negative at theta = 1.0
@@ -290,7 +284,8 @@ class TestRunCvarExtended:
         res = run_cvar_extended(problem, cset, 0.5, 0.1, c, np.ones(20))
         s0 = draw_samples(problem, 10, 0, 4)
         x0 = project(cset, np.ones(20)).point
-        t0 = float(np.mean([problem.value(x0, xi) for xi in s0.realizations]))
+        a, b = problem.params["a"], problem.params["b"]
+        t0 = float(np.mean(((x0 - b * s0.realizations) ** 2) @ a))
         assert res.extras["t0"] == pytest.approx(t0, rel=1e-12)
         assert res.records[0].t_aux == pytest.approx(t0, rel=1e-12)
         assert all(r.t_aux is not None for r in res.records)
@@ -301,7 +296,7 @@ class TestRunCvarExtended:
         c = cfg(alpha=0.02, iters=15, theta=1.5, seed=5)
         res = run_cvar_extended(problem, cset, 0.9, 0.1, c, np.full(100, 0.01))
         for z in res.iterates:
-            assert feasibility_residual(cset, z[:-1], tol=1e-9) <= 1e-8
+            assert feasibility_residual(cset, z[:-1]) <= 1e-8
         assert res.state.x.shape == (100,)
         sizes = [r.sample_size for r in res.records]
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
@@ -311,7 +306,7 @@ class TestRunCvarExtended:
         c = cfg(alpha=0.02, iters=12, theta=1.5, seed=5)
         res = run_cvar_extended(problem, cset, 0.9, 0.1, c, np.full(100, 0.01))
         z = res.iterates[6]
-        extended = extend_problem(problem, 0.9, 0.1)
+        extended = ExtendedProblem(problem, 0.9, 0.1)
         s = draw_samples(extended, 40, 6, 5)
         fd = central_diff(
             lambda w: float(np.mean(extended.value_many(w, s.realizations))), z
@@ -329,18 +324,18 @@ class TestRunNestedQuantile:
     def test_deterministic_samples_reduce_to_scaled_gradient_step(self):
         beta, eps, alpha = 0.8, 0.1, 0.5
         x0 = np.array([1.0, -2.0])
-        problem = StochasticProblem(
-            dim=2,
-            sampler=lambda rng, n: rng.random((n, 1)),
-            value=lambda x, xi: 0.5 * float(x @ x) + 3.0,
-            grad=lambda x, xi: np.asarray(x, dtype=float),
+        problem = rowwise_problem(
+            2,
+            lambda rng, n: rng.random((n, 1)),
+            lambda x, xi: 0.5 * float(x @ x) + 3.0,
+            lambda x, xi: np.asarray(x, dtype=float),
         )
         c = OptimizerConfig(
             alpha=alpha, max_iters=2, test=TestConfig(theta=1.0),
             initial_sample_size=6, seed=1,
         )
         res = run_nested_quantile(problem, full_space(2), beta, eps, c, x0)
-        f0 = problem.value(x0, None)
+        f0 = 0.5 * float(x0 @ x0) + 3.0
         t_want = f0 - eps * math.log((1.0 - beta) / beta)
         assert res.records[0].t_aux == pytest.approx(t_want, abs=1e-8)
         # all sample values equal: the weight is sigma(ln((1-b)/b)) = 1 - beta

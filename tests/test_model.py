@@ -12,7 +12,7 @@ from adasamp.model import (
     sample_objective,
 )
 from adasamp.problems import make_basic_example
-from oracles import central_diff, rel_err
+from oracles import central_diff, rel_err, rowwise_problem
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +57,12 @@ class TestDrawSamples:
 class TestSampleObjective:
     def test_single_sample_identity(self, basic):
         problem, _ = basic
+        a, b = problem.params["a"], problem.params["b"]
         s = draw_samples(problem, 1, 0, 3)
         x = np.full(20, 0.3)
+        xi = s.realizations[0]
         assert sample_objective(problem, x, s) == pytest.approx(
-            problem.value(x, s.realizations[0])
+            float(np.sum(a * (x - b * xi) ** 2))
         )
 
     def test_linearity_over_disjoint_halves(self, basic):
@@ -68,7 +70,8 @@ class TestSampleObjective:
         s = draw_samples(problem, 10, 0, 3)
         x = np.full(20, 0.1)
         halves = np.array_split(s.realizations, 2)
-        sub_means = [np.mean([problem.value(x, xi) for xi in half]) for half in halves]
+        a, b = problem.params["a"], problem.params["b"]
+        sub_means = [np.mean(((x - b * half) ** 2) @ a) for half in halves]
         assert sample_objective(problem, x, s) == pytest.approx(np.mean(sub_means))
 
     def test_matches_hand_integrated_expectation_at_optimum(self, basic):
@@ -86,11 +89,11 @@ class TestSampleObjective:
 
 class TestSampleGradient:
     def test_identical_samples_have_zero_variance(self):
-        problem = StochasticProblem(
-            dim=3,
-            sampler=lambda rng, n: np.ones((n, 3)),
-            value=lambda x, xi: float(x @ xi),
-            grad=lambda x, xi: np.asarray(xi, dtype=float),
+        problem = rowwise_problem(
+            3,
+            lambda rng, n: np.ones((n, 3)),
+            lambda x, xi: float(x @ xi),
+            lambda x, xi: np.asarray(xi, dtype=float),
         )
         s = draw_samples(problem, 8, 0, 0)
         stats = sample_gradient(problem, np.zeros(3), s)
@@ -121,11 +124,13 @@ class TestSampleGradient:
 
     def test_loop_fallback_matches_vectorized(self, basic):
         problem, _ = basic
-        bare = StochasticProblem(
-            dim=problem.dim,
-            sampler=problem.sampler,
-            value=problem.value,
-            grad=problem.grad,
+        a, b = problem.params["a"], problem.params["b"]
+        # the per-sample formulas, looped over the rows
+        bare = rowwise_problem(
+            problem.dim,
+            problem.sampler,
+            lambda x, xi: float(np.sum(a * (x - b * xi) ** 2)),
+            lambda x, xi: 2.0 * a * (x - b * xi),
         )
         s = draw_samples(problem, 7, 0, 9)
         x = np.full(20, 0.2)
@@ -197,8 +202,7 @@ class TestGradientOwnership:
         problem = StochasticProblem(
             dim=3,
             sampler=lambda rng, n: rng.random((n, 4)),
-            value=lambda x, xi: float(x @ xi[1:]),
-            grad=lambda x, xi: np.asarray(xi[1:], dtype=float),
+            value_many=lambda x, xis: xis[:, 1:] @ x,
             grad_many=lambda x, xis: xis[:, 1:],
         )
         grads = batch_grads(problem, np.zeros(3), xis)
@@ -211,8 +215,7 @@ class TestGradientOwnership:
         problem = StochasticProblem(
             dim=2,
             sampler=lambda rng, n: rng.random((n, 1)),
-            value=lambda x, xi: float(2.0 * xi[0] * (x[0] + x[1])),
-            grad=lambda x, xi: np.full(2, 2.0 * xi[0]),
+            value_many=lambda x, xis: 2.0 * xis[:, 0] * (x[0] + x[1]),
             grad_many=lambda x, xis: np.broadcast_to(2.0 * xis, (xis.shape[0], 2)),
         )
         s = draw_samples(problem, 5, 0, 1)

@@ -63,8 +63,8 @@ class TestBasicExample:
         for _ in range(5):
             x = rng.normal(size=20)
             xi = rng.random(20)
-            fd = central_diff(lambda z: problem.value(z, xi), x, h=1e-6)
-            assert rel_err(fd, problem.grad(x, xi)) <= 1e-8
+            fd = central_diff(lambda z: problem.value_many(z, xi[None])[0], x, h=1e-6)
+            assert rel_err(fd, problem.grad_many(x, xi[None])[0]) <= 1e-8
 
     def test_values_nonnegative(self, basic):
         problem, _ = basic
@@ -127,15 +127,18 @@ class TestPortfolio:
         problem, _ = portfolio
         xi = np.random.default_rng(0).normal(size=100)
         for x in (np.zeros(100), np.full(100, 0.01), np.random.default_rng(1).normal(size=100)):
-            np.testing.assert_array_equal(problem.grad(x, xi), -xi)
+            np.testing.assert_array_equal(problem.grad_many(x, xi[None])[0], -xi)
 
     def test_objective_is_linear(self, portfolio):
         problem, _ = portfolio
         rng = np.random.default_rng(3)
         x, z, xi = rng.normal(size=100), rng.normal(size=100), rng.normal(size=100)
         lam = 0.3
-        left = problem.value(lam * x + (1 - lam) * z, xi)
-        right = lam * problem.value(x, xi) + (1 - lam) * problem.value(z, xi)
+        def value(point):
+            return problem.value_many(point, xi[None])[0]
+
+        left = value(lam * x + (1 - lam) * z)
+        right = lam * value(x) + (1 - lam) * value(z)
         assert left == pytest.approx(right, rel=1e-12)
 
     def test_mean_of_xi_is_A(self, portfolio):

@@ -244,6 +244,20 @@ class TestCommandLine:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("row", ["3,10", "3,10,40,1.5,,,,0.25,7"])
+    def test_compare_rejects_a_row_of_the_wrong_width(self, tmp_path, capsys, row):
+        # a truncated (or overlong) log is a usage error (exit 2), not an
+        # IndexError traceback with the comparison-failure exit code 1
+        run_experiment(tiny_config(tmp_path, max_iters=3))
+        log = tmp_path / "run.csv"
+        with open(log, "a") as fh:
+            fh.write(row + "\n")
+        capsys.readouterr()
+        assert main(["compare", str(log), str(log)]) == 2
+        err = capsys.readouterr().err
+        assert f"{log}, line 5" in err
+        assert f"expected {len(CSV_COLUMNS)} fields, got {len(row.split(','))}" in err
+
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ADASAMP_OUTPUT_DIR", str(tmp_path))
         cfg = ExperimentConfig(problem="basic", algorithm="spgd", max_iters=2)

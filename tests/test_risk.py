@@ -11,7 +11,6 @@ from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.risk import (
     ExtendedProblem,
     cvar_empirical,
-    extend_problem,
     quantile_solve,
     smooth_plus,
     smooth_plus_deriv,
@@ -197,6 +196,25 @@ class TestQuantileSolve:
         with pytest.raises(ValueError):
             quantile_solve([1.0, 2.0], 0.0, 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values_before_any_pass(self, monkeypatch, bad):
+        # a NaN used to run all 200 bisection passes and return NaN, and an
+        # infinite value returned an infinite t after none
+        calls = []
+        original = risk.expit
+
+        def counted(x):
+            calls.append(1)
+            return original(x)
+
+        monkeypatch.setattr(risk, "expit", counted)
+        values = np.array([0.5, bad, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            quantile_solve(values, 0.9, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            smoothed_cvar(values, 0.9, 0.1)
+        assert calls == []
+
 
 class TestSmoothedCvar:
     def test_constant_list_within_bound(self):
@@ -220,17 +238,17 @@ class TestSmoothedCvar:
 @pytest.fixture(scope="module")
 def extended():
     problem, _ = make_basic_example(7)
-    return extend_problem(problem, 0.5, 0.1)
+    return ExtendedProblem(problem, 0.5, 0.1)
 
 
 class TestExtendProblem:
     def test_value_when_f_equals_t(self, extended):
         xi = np.full(20, 0.5)
         x = extended.base.known_optimum + 0.1
-        t = extended.base.value(x, xi)
+        t = extended.base.value_many(x, xi[None])[0]
         z = np.concatenate([x, [t]])
         want = t + 0.1 * math.log(2.0) / (1.0 - 0.5)
-        assert extended.value(z, xi) == pytest.approx(want)
+        assert extended.value_many(z, xi[None])[0] == pytest.approx(want)
 
     def test_gradient_matches_finite_differences(self, extended):
         problem = extended.base
@@ -248,9 +266,9 @@ class TestExtendProblem:
     def test_t_derivative_saturates(self, extended):
         xi = np.full(20, 0.5)
         x = np.ones(20)
-        f = extended.base.value(x, xi)
+        f = extended.base.value_many(x, xi[None])[0]
         z = np.concatenate([x, [f - 100.0]])  # f >> t
-        g = extended.grad(z, xi)
+        g = extended.grad_many(z, xi[None])[0]
         assert g[-1] == pytest.approx(1.0 - 1.0 / (1.0 - 0.5), abs=1e-12)
 
     def test_dim_and_validation(self, extended):
@@ -264,5 +282,15 @@ class TestExtendProblem:
         s = draw_samples(extended.base, 4, 0, 5)
         z = np.concatenate([np.full(20, 0.3), [0.8]])
         many = extended.grad_many(z, s.realizations)
-        single = np.array([extended.grad(z, xi) for xi in s.realizations])
-        np.testing.assert_allclose(many, single, rtol=1e-12)
+        # the per-sample formula: s_i = sigma((f_i - t)/eps)/(1 - beta) scales
+        # grad f_i = 2a(x - b xi_i) in x, and the t component is 1 - s_i
+        from scipy.special import expit
+
+        a, b = extended.base.params["a"], extended.base.params["b"]
+        x, t = z[:-1], z[-1]
+        single = []
+        for xi in s.realizations:
+            f = float(np.sum(a * (x - b * xi) ** 2))
+            weight = expit((f - t) / 0.1) / (1.0 - 0.5)
+            single.append(np.concatenate([weight * 2.0 * a * (x - b * xi), [1.0 - weight]]))
+        np.testing.assert_allclose(many, np.array(single), rtol=1e-12)
