@@ -3,10 +3,12 @@
 These deliberately avoid the library's own algorithms: projections are
 verified against an exhaustive active-set QP enumeration, SQP steps against a
 dense KKT linear system, and gradients against central finite differences.
-The box, a leaf set only the tests use, is defined here too.
+The box, a leaf set only the tests use, is defined here too, and so is a
+Monte-Carlo check of the moments the sample-size theory controls.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,7 @@ from adasamp.geometry import (
     UnitSimplex,
     project,
 )
-from adasamp.model import StochasticProblem
+from adasamp.model import StochasticProblem, batch_grads, draw_samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,6 +32,10 @@ class Box(ConstraintSet):
 
     lower: np.ndarray
     upper: np.ndarray
+
+    def __post_init__(self):
+        if np.any(self.lower > self.upper):
+            raise ValueError("box requires lower <= upper componentwise")
 
     @property
     def dim(self) -> int:
@@ -195,3 +201,118 @@ def rel_err(approx, exact):
     if denom == 0.0:
         return float(np.linalg.norm(approx))
     return float(np.linalg.norm(approx - exact) / denom)
+
+
+@dataclass(frozen=True)
+class DiagnosticEstimate:
+    name: str
+    estimate: float
+    std_error: float
+
+
+@dataclass(frozen=True)
+class DiagnosticReport:
+    """Monte-Carlo estimates, at a fixed point, of the quantities the
+    sample-size theory controls, plus the parameter values they imply."""
+
+    reduced_grad_sq: DiagnosticEstimate       # E ||R_S||^2
+    projection_bias: DiagnosticEstimate       # ||E[Q_S - Q]||
+    grad_err_sq: DiagnosticEstimate           # E ||grad F_S - grad F||^2
+    reduced_grad_err_sq: DiagnosticEstimate   # E ||R_S - R||^2
+    ref_reduced_grad_norm: float
+    implied_theta: float
+    implied_nu_sq: float
+    implied_gamma_sq: float
+    norm_bound_holds: bool
+    sample_size: int
+    resamples: int
+
+    def estimates(self):
+        return (
+            self.reduced_grad_sq,
+            self.projection_bias,
+            self.grad_err_sq,
+            self.reduced_grad_err_sq,
+        )
+
+    def to_csv(self) -> str:
+        lines = ["quantity,estimate,std_error"]
+        for e in self.estimates():
+            lines.append(f"{e.name},{e.estimate!r},{e.std_error!r}")
+        lines.append(f"implied_theta,{self.implied_theta!r},")
+        lines.append(f"implied_nu_sq,{self.implied_nu_sq!r},")
+        lines.append(f"implied_gamma_sq,{self.implied_gamma_sq!r},")
+        lines.append(f"norm_bound_holds,{int(self.norm_bound_holds)},")
+        return "\n".join(lines) + "\n"
+
+
+def _mean_se(values):
+    m = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(values.shape[0]))
+    return m, se
+
+
+def condition_diagnostic(problem, cset, x, n, M, alpha, ref_size, seed):
+    """Estimate, over M fresh size-n sample sets at fixed x, the moments of
+    the subsampled reduced gradient and gradient map against a ref_size-sample
+    surrogate for the exact quantities.
+
+    The surrogate must dominate the resample size (ref_size >= 100 n) or the
+    report would mostly measure its own noise.
+    """
+    if M < 100:
+        raise ValueError("diagnostic needs M >= 100 resamples")
+    if ref_size < 100 * n:
+        raise ValueError("ref_size must be >= 100 * n (surrogate too noisy)")
+    x = np.asarray(x, dtype=float)
+
+    # surrogate truth from one large set (stream coordinate 0)
+    ref_set = draw_samples(problem, ref_size, 0, seed)
+    ref_grad = batch_grads(problem, x, ref_set.realizations).mean(axis=0)
+    ref_q = project(cset, x - alpha * ref_grad).point
+    ref_r = (x - ref_q) / alpha
+    ref_r_norm = float(np.linalg.norm(ref_r))
+
+    rs_sq = np.empty(M)
+    grad_err_sq = np.empty(M)
+    r_err_sq = np.empty(M)
+    q_diff = np.empty((M, x.shape[0]))
+    for m in range(M):
+        s = draw_samples(problem, n, m + 1, seed)
+        g = batch_grads(problem, x, s.realizations).mean(axis=0)
+        q = project(cset, x - alpha * g).point
+        r = (x - q) / alpha
+        rs_sq[m] = r @ r
+        grad_err_sq[m] = float((g - ref_grad) @ (g - ref_grad))
+        r_err_sq[m] = float((r - ref_r) @ (r - ref_r))
+        q_diff[m] = q - ref_q
+
+    rs_mean, rs_se = _mean_se(rs_sq)
+    ge_mean, ge_se = _mean_se(grad_err_sq)
+    re_mean, re_se = _mean_se(r_err_sq)
+    bias_vec = q_diff.mean(axis=0)
+    bias = float(np.linalg.norm(bias_vec))
+    bias_se = float(np.linalg.norm(np.std(q_diff, axis=0, ddof=1) / math.sqrt(M)))
+
+    r_sq = ref_r_norm**2
+    theta_hat = math.sqrt(ge_mean / r_sq) if r_sq > 0 else math.inf
+    nu_sq_hat = rs_mean / r_sq - 1.0 if r_sq > 0 else math.inf
+    step_sq = float((ref_q - x) @ (ref_q - x))
+    gamma_sq_hat = 2.0 * bias / step_sq if step_sq > 0 else math.inf
+    # ||E R_S||^2 <= (1 + theta)^2 ||R||^2 is the implication the theory
+    # predicts; check it within Monte-Carlo error.
+    bound_holds = rs_mean <= (1.0 + theta_hat) ** 2 * r_sq + 3.0 * rs_se
+
+    return DiagnosticReport(
+        reduced_grad_sq=DiagnosticEstimate("reduced_grad_sq", rs_mean, rs_se),
+        projection_bias=DiagnosticEstimate("projection_bias", bias, bias_se),
+        grad_err_sq=DiagnosticEstimate("grad_err_sq", ge_mean, ge_se),
+        reduced_grad_err_sq=DiagnosticEstimate("reduced_grad_err_sq", re_mean, re_se),
+        ref_reduced_grad_norm=ref_r_norm,
+        implied_theta=theta_hat,
+        implied_nu_sq=nu_sq_hat,
+        implied_gamma_sq=gamma_sq_hat,
+        norm_bound_holds=bool(bound_holds),
+        sample_size=n,
+        resamples=M,
+    )

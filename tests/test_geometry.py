@@ -13,7 +13,13 @@ from adasamp.geometry import (
     project,
     project_simplex,
 )
-from oracles import full_space, qp_projection_oracle, random_sets
+from oracles import (
+    Box,
+    feasibility_residual,
+    full_space,
+    qp_projection_oracle,
+    random_sets,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -42,6 +48,10 @@ class TestClosedForms:
         hs = Halfspace(np.array([1.0, 0.0]), -1.0)
         y = np.array([0.5, 3.0])
         np.testing.assert_array_equal(project(hs, y).point, y)
+
+    def test_box_requires_ordered_bounds(self):
+        with pytest.raises(ValueError):
+            Box(np.array([1.0]), np.array([0.0]))
 
     def test_full_space_is_identity(self):
         y = RNG.normal(size=4)
@@ -175,3 +185,8 @@ def test_projection_is_closest_point(case):
     p = project(cset, y).point
     z = project(cset, x).point  # an arbitrary feasible point
     assert np.linalg.norm(y - p) <= np.linalg.norm(y - z) + 1e-10
+
+
+def test_feasibility_residual_zero_inside():
+    assert feasibility_residual(NonNegativeOrthant(3), np.ones(3)) == 0.0
+    assert feasibility_residual(NonNegativeOrthant(2), [-1.0, 0.0]) == pytest.approx(1.0)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adasamp.geometry import Hyperplane
 from adasamp.model import GradientStats
+from adasamp.problems import make_basic_example
 from adasamp.sizing import TestConfig, norm_test, sqp_norm_test
+from oracles import condition_diagnostic, full_space
 
 CFG = TestConfig(theta=0.5)
 
@@ -120,3 +123,77 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TestConfig(theta=1.0, max_sample_size=1)
 
+
+@pytest.fixture(scope="module")
+def basic():
+    return make_basic_example(7)
+
+
+class TestConditionDiagnostic:
+    def test_unconstrained_reduced_grad_error_equals_grad_error(self, basic):
+        problem, _ = basic
+        x = np.full(20, 0.8)
+        rep = condition_diagnostic(
+            problem, full_space(20), x, n=8, M=150, alpha=0.025, ref_size=1600, seed=10
+        )
+        # with C = R^n the reduced gradient is the gradient itself
+        assert rep.reduced_grad_err_sq.estimate == pytest.approx(
+            rep.grad_err_sq.estimate, rel=1e-9
+        )
+
+    def test_doubling_n_halves_gradient_error(self, basic):
+        problem, cset = basic
+        x = np.full(20, 0.8)
+        common = dict(alpha=0.025, seed=10, M=3000)
+        r1 = condition_diagnostic(problem, cset, x, n=4, ref_size=1600, **common)
+        r2 = condition_diagnostic(problem, cset, x, n=8, ref_size=1600, **common)
+        ratio = r2.grad_err_sq.estimate / r1.grad_err_sq.estimate
+        assert ratio == pytest.approx(0.5, rel=0.05)
+
+    def test_affine_set_has_no_projection_bias(self, basic):
+        problem, _ = basic
+        cset = Hyperplane(np.ones(20), 8.0)
+        x = np.full(20, 0.4)
+        rep = condition_diagnostic(
+            problem, cset, x, n=8, M=400, alpha=0.025, ref_size=1600, seed=10
+        )
+        assert rep.projection_bias.estimate <= 4.0 * rep.projection_bias.std_error
+
+    def test_norm_bound_chain_holds(self, basic):
+        problem, cset = basic
+        rng = np.random.default_rng(0)
+        x = np.abs(rng.normal(size=20))
+        rep = condition_diagnostic(
+            problem, cset, x, n=8, M=400, alpha=0.025, ref_size=1600, seed=11
+        )
+        assert rep.norm_bound_holds
+        lhs = rep.reduced_grad_sq.estimate / rep.ref_reduced_grad_norm**2
+        assert lhs <= (1.0 + rep.implied_theta) ** 2 + 3 * rep.reduced_grad_sq.std_error
+
+    def test_rejects_small_resample_count(self, basic):
+        problem, cset = basic
+        with pytest.raises(ValueError):
+            condition_diagnostic(
+                problem, cset, np.ones(20), n=4, M=10, alpha=0.025, ref_size=1600, seed=0
+            )
+
+    def test_rejects_noisy_surrogate(self, basic):
+        problem, cset = basic
+        with pytest.raises(ValueError):
+            condition_diagnostic(
+                problem, cset, np.ones(20), n=8, M=200, alpha=0.025, ref_size=100, seed=0
+            )
+
+    def test_csv_serialization(self, basic):
+        problem, cset = basic
+        rep = condition_diagnostic(
+            problem, cset, np.ones(20), n=4, M=150, alpha=0.025, ref_size=400, seed=0
+        )
+        text = rep.to_csv()
+        lines = text.strip().splitlines()
+        assert lines[0] == "quantity,estimate,std_error"
+        assert len(lines) == 9
+        name, est, se = lines[1].split(",")
+        assert name == "reduced_grad_sq"
+        assert float(est) == rep.reduced_grad_sq.estimate
+        assert float(se) == rep.reduced_grad_sq.std_error
