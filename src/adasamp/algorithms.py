@@ -28,6 +28,7 @@ from .model import (
     batch_grads,
     batch_values,
     draw_samples,
+    extend_samples,
     gradient_stats,
     sample_gradient,
     sample_objective,
@@ -184,7 +185,8 @@ def _drive(
     status or after ``max_iters``. A set stays referenced until the next one
     is drawn: freed at the end of its step, it let glibc's allocator trim
     the heap between iterations, and a basic spgd run (seed 0, cap 2e5) took
-    69-97k minor page faults instead of 26k.
+    69-97k minor page faults instead of 26-28k, on one CPU or with the
+    large passes split across two.
     """
     n = cfg.initial_sample_size
     cum = 0
@@ -270,7 +272,10 @@ def sqp_directions(grads, grad_G, G_val: float, alpha: float) -> np.ndarray:
             raise ValueError("inconsistent linearization: zero constraint gradient")
         return -alpha * grads
     lams = (G_val - alpha * _matvec(grads, grad_G)) / (alpha * g_sq)
-    return -alpha * (grads + lams[:, None] * grad_G)
+    # -alpha * (grads + lams[:, None] * grad_G), in one (n, dim) buffer
+    dirs = np.multiply(lams[:, None], grad_G)
+    np.add(grads, dirs, out=dirs)
+    return np.multiply(dirs, -alpha, out=dirs)
 
 
 @dataclass(frozen=True)
@@ -293,11 +298,11 @@ def run_sqp_adaptive(
 
     Each iteration linearizes G at x_k, forms per-sample step directions in
     closed form, and runs the direction-variance test. On failure the same
-    sample set is augmented with ceil(rho' |S|) - |S| additional i.i.d. draws
-    (the stream's prefix stability makes this an exact append) and the step
-    is recomputed; only once the test passes does the iterate advance. If the
-    sample cap is reached while the test still fails, the run terminates with
-    status "sample-budget-exhausted".
+    sample set is augmented with the ceil(rho' |S|) - |S| draws that follow it
+    on its stream (by prefix stability, the set a fresh draw of that size
+    would give) and the step is recomputed; only once the test passes does
+    the iterate advance. If the sample cap is reached while the test still
+    fails, the run terminates with status "sample-budget-exhausted".
     """
 
     def step(x, sample_set, k):
@@ -319,17 +324,16 @@ def run_sqp_adaptive(
                 break
             if not cfg.adaptive:
                 break
-            outcome = sqp_norm_test(-dirs / cfg.alpha, reduced_grad, cfg.test)
+            outcome = sqp_norm_test(np.divide(dirs, -cfg.alpha), reduced_grad, cfg.test)
             rho = outcome.rho
             if outcome.passed:
                 break
             if outcome.next_size <= grads.shape[0]:
                 status = STATUS_SAMPLE_BUDGET  # already at the cap, test still failing
                 break
-            bigger = draw_samples(problem, outcome.next_size, k, cfg.seed)
-            new_tail = bigger.realizations[grads.shape[0]:]
+            sample_set = extend_samples(problem, sample_set, outcome.next_size)
+            new_tail = sample_set.realizations[grads.shape[0]:]
             grads = np.vstack([grads, batch_grads(problem, x, new_tail)])
-            sample_set = bigger
             rounds += 1
 
         objective = sample_objective(problem, x, sample_set)

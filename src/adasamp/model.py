@@ -12,8 +12,11 @@ and makes within-iteration sample augmentation an exact append.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+import os
+import threading
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +27,7 @@ __all__ = [
     "GradientStats",
     "stream_rng",
     "draw_samples",
+    "extend_samples",
     "batch_values",
     "batch_grads",
     "sample_objective",
@@ -37,6 +41,13 @@ STREAM_PARAMS = 1
 
 # Rows per block of the blocked per-sample passes.
 _BLOCK_ROWS = 512
+
+# Passes over fewer rows run on the calling thread. On two CPUs, split
+# passes made the extended portfolio iteration at 10^4 rows up to 10%
+# slower: waking the pool and handing chunks over cost more than they saved.
+_PARALLEL_MIN_ROWS = 32768
+# Largest chunk of a parallel pass, in 512-row blocks (8192 rows).
+_CHUNK_BLOCKS = 16
 
 
 def stream_rng(base_seed: int, *stream: int) -> np.random.Generator:
@@ -74,9 +85,14 @@ class StochasticProblem:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """An ordered collection of realizations."""
+    """An ordered collection of realizations.
+
+    ``rng`` is the stream the set was drawn from, positioned after its last
+    row, so that ``extend_samples`` can append the rows that follow; None
+    for a set built by hand."""
 
     realizations: np.ndarray
+    rng: Optional[np.random.Generator] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.realizations.shape[0]
@@ -94,43 +110,174 @@ class GradientStats:
     n: int
 
 
-def draw_samples(problem, n: int, iteration: int, base_seed: int) -> SampleSet:
-    """Draw n i.i.d. realizations on the stream keyed by (base_seed, iteration)."""
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    rng = stream_rng(base_seed, STREAM_SAMPLES, iteration)
+def _sample(problem, rng: np.random.Generator, n: int) -> np.ndarray:
     xis = np.asarray(problem.sampler(rng, n), dtype=float)
     if xis.ndim == 1:
         xis = xis[:, None]
     if xis.shape[0] != n:
         raise ValueError(f"sampler returned {xis.shape[0]} realizations, expected {n}")
-    return SampleSet(xis)
+    return xis
 
 
-def _row_blocks(n: int):
-    """Row slices of a blocked pass over n rows.
+def draw_samples(problem, n: int, iteration: int, base_seed: int) -> SampleSet:
+    """Draw n i.i.d. realizations on the stream keyed by (base_seed, iteration)."""
+    if n < 1:
+        raise ValueError("sample size must be >= 1")
+    rng = stream_rng(base_seed, STREAM_SAMPLES, iteration)
+    return SampleSet(_sample(problem, rng, n), rng)
 
-    Blocks start at multiples of 512, so the BLAS kernel groups rows as one
-    single-threaded call over all n rows does: same bits. A one-row block
-    would go through numpy's dot, which sums in another order, so a one-row
-    tail joins the block before it. The blocked results were also the same
-    at one to four BLAS threads, whereas one large call is split between
-    threads, and the rows at the split change in the last bit.
+
+def extend_samples(problem, sample_set: SampleSet, m: int) -> SampleSet:
+    """The set grown to m realizations by drawing only the m - n rows that
+    follow it on its stream. By prefix stability this equals a fresh draw of
+    m rows; the given set and its stream are left as they were."""
+    n = len(sample_set)
+    if sample_set.rng is None:
+        raise ValueError("the sample set has no stream to extend")
+    if m <= n:
+        raise ValueError(f"cannot extend a set of {n} realizations to {m}")
+    rng = copy.deepcopy(sample_set.rng)
+    tail = _sample(problem, rng, m - n)
+    return SampleSet(np.concatenate([sample_set.realizations, tail]), rng)
+
+
+def _row_blocks(stop: int, start: int = 0, size: int = _BLOCK_ROWS):
+    """Row slices of ``size`` rows (a multiple of 512) covering rows
+    start..stop-1, where start is 0 or a multiple of 512; a one-row tail
+    joins the slice before it.
+
+    With the default size these are the blocks of a blocked pass. Blocks
+    start at multiples of 512, so the BLAS kernel groups rows as one
+    single-threaded call over all rows does: same bits. A one-row block
+    would go through numpy's dot, which sums in another order, hence the
+    joined tail. The blocked results were also the same at one to four BLAS
+    threads, whereas one large call is split between threads, and the rows
+    at the split change in the last bit. A run of whole slices of a larger
+    size holds whole blocks.
     """
-    start = 0
-    while start < n:
-        stop = min(start + _BLOCK_ROWS, n)
-        if stop == n - 1:
-            stop = n
-        yield slice(start, stop)
-        start = stop
+    while start < stop:
+        end = min(start + size, stop)
+        if end == stop - 1:
+            end = stop
+        yield slice(start, end)
+        start = end
+
+
+def _block_matvec(m: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = m @ v with one BLAS call per ``_row_blocks`` block of m,
+    where the rows of m are a run of whole blocks of the pass. The full
+    512-row blocks go through one stacked matmul, which makes the same
+    per-block BLAS calls as a loop over them."""
+    n = m.shape[0]
+    k = n // _BLOCK_ROWS
+    if k and n - k * _BLOCK_ROWS == 1:
+        k -= 1  # the one-row tail joins the last block
+    full = k * _BLOCK_ROWS
+    if k:
+        np.matmul(m[:full].reshape(k, _BLOCK_ROWS, -1), v, out=out[:full].reshape(k, _BLOCK_ROWS))
+    if full < n:
+        np.matmul(m[full:], v, out=out[full:])
+
+
+def _workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool = None
+_pool_pid = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The row-chunk thread pool, created on first use (and again in a
+    forked child, which inherits the pool object but not its threads)."""
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool is None or _pool_pid != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1), "adasamp-rows")
+            _pool_pid = os.getpid()
+        return _pool
+
+
+def _in_parallel(fn: Callable[[slice], None], n: int) -> None:
+    """Call ``fn(rows)`` on row chunks that cover rows 0..n-1 once.
+
+    Each chunk is a run of whole ``_row_blocks(n)`` blocks, so a chunk's
+    blocks are the pass's blocks and a blocked BLAS call sees the rows it
+    sees in a serial pass. The calling thread and one pool thread per
+    further CPU of the process take chunks in turn until none is left, so a
+    CPU that another process slows takes fewer; a pass below
+    ``_PARALLEL_MIN_ROWS`` rows runs whole on the calling thread. ``fn``
+    runs on pool threads, so it may only do numpy work on rows it owns: in
+    particular it must not call a problem's evaluators or any traced
+    ``adasamp`` function.
+    """
+    workers = _workers()
+    if n < _PARALLEL_MIN_ROWS or workers < 2:
+        fn(slice(0, n))
+        return
+    # at least two chunks per CPU, of at most _CHUNK_BLOCKS blocks
+    step = max(1, min(_CHUNK_BLOCKS, n // _BLOCK_ROWS // (2 * workers)))
+    chunks = iter(list(_row_blocks(n, 0, step * _BLOCK_ROWS)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                rows = next(chunks, None)
+            if rows is None:
+                return
+            fn(rows)
+
+    pool = _executor()
+    futures = [pool.submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        for future in futures:
+            future.result()
+
+
+def _uniform_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """``rng.random((n, d))``, drawn in row chunks on several threads, with
+    the same bits and the generator left where the serial draw leaves it.
+
+    Philox is counter-based and a uniform double takes one 64-bit word, four
+    per counter step, so the chunk starting at row r reads the stream from
+    counter step r * d / 4 on (r is a multiple of 512). The split needs a
+    Philox generator with no buffered words; any other draws serially.
+    """
+    bitgen = rng.bit_generator
+    if n < _PARALLEL_MIN_ROWS or type(bitgen) is not np.random.Philox:
+        return rng.random((n, d))
+    state = bitgen.state
+    if state["buffer_pos"] != 4 or state["has_uint32"] != 0:
+        return rng.random((n, d))
+    out = np.empty((n, d))
+    last = []
+
+    def fill(rows):
+        g = np.random.Philox(counter=state["state"]["counter"], key=state["state"]["key"])
+        g.advance(rows.start * d // 4)
+        np.random.Generator(g).random(out=out[rows])
+        if rows.stop == n:
+            last.append(g)
+
+    _in_parallel(fill, n)
+    bitgen.state = last[0].state
+    return out
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """m @ v, in the row blocks of ``_row_blocks``."""
     out = np.empty(m.shape[0])
-    for rows in _row_blocks(m.shape[0]):
-        np.matmul(m[rows], v, out=out[rows])
+    _in_parallel(lambda rows: _block_matvec(m[rows], v, out[rows]), m.shape[0])
     return out
 
 
@@ -180,8 +327,8 @@ def gradient_stats(grads: np.ndarray) -> GradientStats:
         # two-row check skips the full scan whenever rows 0 and 1 differ
         variance_stat = 0.0
     else:
-        dev = np.subtract(grads, mean, out=grads)
-        variance_stat = float(np.einsum("ij,ij->", dev, dev) / ((n - 1) * n))
+        _in_parallel(lambda rows: np.subtract(grads[rows], mean, out=grads[rows]), n)
+        variance_stat = float(np.einsum("ij,ij->", grads, grads) / ((n - 1) * n))
     return GradientStats(mean, variance_stat, n)
 
 

@@ -23,8 +23,11 @@ from .model import (
     _BLOCK_ROWS,
     STREAM_PARAMS,
     StochasticProblem,
+    _block_matvec,
+    _in_parallel,
     _matvec,
     _row_blocks,
+    _uniform_rows,
     stream_rng,
 )
 
@@ -39,6 +42,10 @@ __all__ = [
 BASIC_DIM = 20
 PORTFOLIO_DIM = 100
 RETURN_THRESHOLD = 1.05
+
+# Rows per elementwise step of the basic value pass (eight 512-row
+# blocks): a few numpy calls per 4096 rows, and a buffer of 4097 x 20.
+_VALUE_GROUP_ROWS = 4096
 
 
 def basic_optimum(a, b) -> np.ndarray:
@@ -73,28 +80,37 @@ class BasicExample:
         two_a = 2.0 * a
 
         def value_many(x, xis):
-            # (x - b*xi)^2 @ a in row blocks through one small buffer (a
-            # one-row tail joins the block before it, hence 513 rows)
-            n = xis.shape[0]
-            values = np.empty(n)
-            buf = np.empty((min(n, _BLOCK_ROWS + 1), BASIC_DIM))
-            for rows in _row_blocks(n):
-                r = buf[: rows.stop - rows.start]
-                np.multiply(xis[rows], b, out=r)
-                np.subtract(x, r, out=r)
-                np.square(r, out=r)
-                np.matmul(r, a, out=values[rows])
+            # (x - b*xi)^2 @ a: the elementwise part on groups of blocks in
+            # one small buffer per chunk, the matmul per 512-row block
+            values = np.empty(xis.shape[0])
+
+            def chunk(rows):
+                buf = np.empty((min(rows.stop - rows.start, _VALUE_GROUP_ROWS + 1), BASIC_DIM))
+                for group in _row_blocks(rows.stop, rows.start, _VALUE_GROUP_ROWS):
+                    r = buf[: group.stop - group.start]
+                    np.multiply(xis[group], b, out=r)
+                    np.subtract(x, r, out=r)
+                    np.square(r, out=r)
+                    _block_matvec(r, a, values[group])
+
+            _in_parallel(chunk, xis.shape[0])
             return values
 
         def grad_many(x, xis):
-            # 2a*(x - b*xi), row by row, in one fresh (n, d) buffer
-            r = np.multiply(xis, b)
-            np.subtract(x, r, out=r)
-            return np.multiply(r, two_a, out=r)
+            # 2a*(x - b*xi), in row chunks of one fresh (n, d) buffer
+            grads = np.empty(xis.shape)
+
+            def chunk(rows):
+                r = np.multiply(xis[rows], b, out=grads[rows])
+                np.subtract(x, r, out=r)
+                np.multiply(r, two_a, out=r)
+
+            _in_parallel(chunk, xis.shape[0])
+            return grads
 
         problem = StochasticProblem(
             dim=BASIC_DIM,
-            sampler=lambda rng, n: rng.random((n, BASIC_DIM)),
+            sampler=lambda rng, n: _uniform_rows(rng, n, BASIC_DIM),
             value_many=value_many,
             grad_many=grad_many,
             known_optimum=basic_optimum(a, b),

@@ -61,7 +61,9 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
     in which case the sample size is kept, otherwise it grows to
     ceil(rho * n) clamped to the configured maximum. The drivers stop on a
     (numerically) zero reduced gradient before testing; an exactly zero one,
-    which leaves rho undefined, is rejected.
+    which leaves rho undefined, is rejected, and so is a non-finite variance
+    statistic or squared reduced-gradient norm, which would otherwise read
+    as a failed test and grow the set to the cap.
     """
     if stats.n < 2:
         raise ValueError("norm test needs at least two samples (variance undefined)")
@@ -72,6 +74,11 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
         )
     reduced_grad = np.asarray(reduced_grad, dtype=float)
     r_sq = float(reduced_grad @ reduced_grad)
+    if not math.isfinite(r_sq):
+        raise ValueError(
+            f"norm test got a non-finite squared reduced-gradient norm ({r_sq}): "
+            f"the step is not finite or overflows"
+        )
     if r_sq == 0.0:
         raise ValueError("norm test needs a nonzero reduced gradient")
     rho = stats.variance_stat / (cfg.theta**2 * r_sq)
@@ -84,7 +91,8 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
     rho = sum_i ||d_i - d_mean||^2 / (theta^2 (n-1) n ||d_mean||^2). Because
     the per-sample reduced gradients are the directions scaled by -1/alpha,
     the ratio is identical whether directions or reduced gradients are passed.
-    An exactly zero mean direction is rejected, as in ``norm_test``.
+    An exactly zero mean direction and a non-finite statistic or squared
+    norm are rejected, as in ``norm_test``.
     """
     dirs = np.asarray(per_sample_dirs, dtype=float)
     mean_dir = np.asarray(mean_dir, dtype=float)
@@ -92,12 +100,22 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
     if n < 2:
         raise ValueError("direction-variance test needs at least two samples")
     m_sq = float(mean_dir @ mean_dir)
+    if not math.isfinite(m_sq):
+        raise ValueError(
+            f"direction-variance test got a non-finite squared mean-direction norm ({m_sq}): "
+            f"a direction is not finite or overflows"
+        )
     if m_sq == 0.0:
         raise ValueError("direction-variance test needs a nonzero mean direction")
-    if np.all(dirs == dirs[0]):
+    if np.all(dirs[1] == dirs[0]) and np.all(dirs == dirs[0]):
         return _outcome(0.0, n, cfg)
     dev = dirs - mean_dir
     num = float(np.einsum("ij,ij->", dev, dev))
+    if not math.isfinite(num):
+        raise ValueError(
+            f"direction-variance test got a non-finite statistic ({num}) "
+            f"from {n} samples: a direction is not finite or overflows"
+        )
     rho = num / (cfg.theta**2 * (n - 1) * n * m_sq)
     return _outcome(rho, n, cfg)
 

@@ -1,6 +1,7 @@
 """scipy is needed only by the CVaR drivers, through ``adasamp.risk.expit``,
 which imports it on first use. Importing the package, the expectation and
-SQP runs and ``compare`` must not load it."""
+SQP runs and ``compare`` must not load it. The row-chunk thread pool is also
+made on first use, so importing the CLI must not load ``concurrent.futures``."""
 
 import json
 import os
@@ -32,6 +33,7 @@ import adasamp
 steps["import adasamp"] = scipy_loaded()
 import adasamp.cli
 steps["import adasamp.cli"] = scipy_loaded()
+steps["import adasamp.cli: concurrent.futures"] = "concurrent.futures" in sys.modules
 for algorithm, flags in (("spgd", ()), ("spgd-fixed", ("--fixed-sample-size", "100")),
                          ("sqp", ())):
     run("run", "--problem", "basic", "--algorithm", algorithm, *flags, "--max-iters", "3",
@@ -59,6 +61,7 @@ def test_scipy_stays_off_the_import_path_until_a_cvar_run(tmp_path):
     assert steps == {
         "import adasamp": False,
         "import adasamp.cli": False,
+        "import adasamp.cli: concurrent.futures": False,
         "run spgd": False,
         "run spgd-fixed": False,
         "run sqp": False,

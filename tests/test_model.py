@@ -1,17 +1,30 @@
+import dataclasses
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from adasamp import model
+from adasamp.algorithms import OptimizerConfig, run_spgd_adaptive
 from adasamp.model import (
+    SampleSet,
     StochasticProblem,
+    _matvec,
+    _row_blocks,
+    _uniform_rows,
     batch_grads,
     draw_samples,
+    extend_samples,
     gradient_stats,
     sample_gradient,
     sample_objective,
+    stream_rng,
 )
-from adasamp.problems import make_basic_example
+from adasamp.problems import make_basic_example, make_portfolio
+from adasamp.sizing import TestConfig
 from oracles import central_diff, rel_err, rowwise_problem
 
 
@@ -52,6 +65,199 @@ class TestDrawSamples:
         xis = draw_samples(problem, n, 0, 2024).realizations
         sigma = np.sqrt(1.0 / 12.0)
         assert np.all(np.abs(xis.mean(axis=0) - 0.5) <= 3.0 * sigma / np.sqrt(n))
+
+
+class TestExtendSamples:
+    # drawing n rows and then m more from one stream equals a fresh draw of
+    # n + m rows, on both packaged samplers
+    @pytest.mark.parametrize("make", [make_basic_example, make_portfolio])
+    @pytest.mark.parametrize(
+        "n, m", [(10, 3), (511, 2), (512, 513), (1000, 4001), (6003, 20003), (50000, 77777)]
+    )
+    def test_append_equals_fresh_draw(self, make, n, m):
+        problem, _ = make(3)
+        grown = extend_samples(problem, draw_samples(problem, n, 4, 11), n + m)
+        fresh = draw_samples(problem, n + m, 4, 11)
+        assert np.array_equal(grown.realizations, fresh.realizations)
+        # the grown set's stream is where the fresh draw's is
+        assert np.array_equal(grown.rng.random(3), fresh.rng.random(3))
+
+    def test_leaves_the_given_set_and_its_stream_alone(self, basic):
+        problem, _ = basic
+        small = draw_samples(problem, 6, 0, 5)
+        rows = small.realizations.copy()
+        first = extend_samples(problem, small, 20)
+        second = extend_samples(problem, small, 20)
+        assert np.array_equal(first.realizations, second.realizations)
+        assert np.array_equal(small.realizations, rows)
+
+    def test_rejects_a_set_without_stream_or_a_smaller_size(self, basic):
+        problem, _ = basic
+        with pytest.raises(ValueError, match="no stream"):
+            extend_samples(problem, SampleSet(np.zeros((4, 20))), 8)
+        with pytest.raises(ValueError, match="cannot extend"):
+            extend_samples(problem, draw_samples(problem, 4, 0, 0), 4)
+
+
+def set_workers(monkeypatch, workers):
+    # split passes from 4096 rows on, so that small sizes cover the split
+    monkeypatch.setattr(model, "_workers", lambda: workers)
+    monkeypatch.setattr(model, "_PARALLEL_MIN_ROWS", 4096)
+
+
+class TestUniformRows:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 511, 512, 4095, 4096, 4097, 200001])
+    def test_equals_the_serial_draw_and_leaves_the_stream_there(self, monkeypatch, n, workers):
+        set_workers(monkeypatch, workers)
+        rng, ref = stream_rng(0, 0, n), stream_rng(0, 0, n)
+        assert np.array_equal(_uniform_rows(rng, n, 20), ref.random((n, 20)))
+        assert np.array_equal(rng.random(7), ref.random(7))
+
+    def test_a_row_width_that_ends_inside_a_counter_step(self, monkeypatch):
+        # 4097 * 3 words: the serial draw leaves three words of its last
+        # counter step unread, and so must the split one
+        set_workers(monkeypatch, 2)
+        rng, ref = stream_rng(1, 0, 0), stream_rng(1, 0, 0)
+        assert np.array_equal(_uniform_rows(rng, 4097, 3), ref.random((4097, 3)))
+        assert np.array_equal(rng.random(5), ref.random(5))
+
+    @pytest.mark.parametrize("case", ["buffered word", "pcg64"])
+    def test_falls_back_to_the_serial_draw(self, monkeypatch, case):
+        set_workers(monkeypatch, 2)
+        if case == "buffered word":
+            rng, ref = stream_rng(2, 0, 0), stream_rng(2, 0, 0)
+            rng.random(1)
+            ref.random(1)
+        else:
+            rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        assert np.array_equal(_uniform_rows(rng, 9000, 20), ref.random((9000, 20)))
+        assert np.array_equal(rng.random(7), ref.random(7))
+
+
+# 4097 = 8 * 512 + 1 and 12289 = 24 * 512 + 1 end in a one-row tail, which
+# joins the block before it; 5000 ends in a partial block
+PASS_SIZES = (4097, 5000, 12289)
+
+
+class TestRowParallelPasses:
+    """The parallel passes give the same bits at one, two and three workers."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        problem, _ = make_basic_example(4)
+        xis = draw_samples(problem, max(PASS_SIZES), 2, 8).realizations
+        return problem, xis, np.linspace(-0.5, 1.5, 20)
+
+    def at_workers(self, monkeypatch, workers, fn):
+        set_workers(monkeypatch, workers)
+        return [fn(n) for n in PASS_SIZES]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_basic_value_and_grad_passes(self, monkeypatch, inputs, workers):
+        problem, xis, x = inputs
+        a, b = problem.params["a"], problem.params["b"]
+
+        def passes(n):
+            return problem.value_many(x, xis[:n]), problem.grad_many(x, xis[:n])
+
+        serial = self.at_workers(monkeypatch, 1, passes)
+        parallel = self.at_workers(monkeypatch, workers, passes)
+        for n, (values, grads), (pvalues, pgrads) in zip(PASS_SIZES, serial, parallel):
+            # the per-block formula, written out
+            ref = np.empty(n)
+            for rows in _row_blocks(n):
+                ref[rows] = ((x - b * xis[rows]) ** 2) @ a
+            assert np.array_equal(values, ref) and np.array_equal(pvalues, ref)
+            assert np.array_equal(grads, 2.0 * a * (x - b * xis[:n]))
+            assert np.array_equal(pgrads, grads)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_matvec(self, monkeypatch, workers):
+        m = np.random.default_rng(0).normal(size=(max(PASS_SIZES), 100))
+        v = np.random.default_rng(1).normal(size=100)
+        serial = self.at_workers(monkeypatch, 1, lambda n: _matvec(m[:n], v))
+        parallel = self.at_workers(monkeypatch, workers, lambda n: _matvec(m[:n], v))
+        for got, want in zip(parallel, serial):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_gradient_stats(self, monkeypatch, workers):
+        grads = np.random.default_rng(2).normal(size=(max(PASS_SIZES), 20))
+
+        def stats(n):
+            work = grads[:n].copy()
+            return gradient_stats(work), work
+
+        serial = self.at_workers(monkeypatch, 1, stats)
+        parallel = self.at_workers(monkeypatch, workers, stats)
+        for n, (s1, dev1), (s2, dev2) in zip(PASS_SIZES, serial, parallel):
+            mean, var = two_pass_stats(grads[:n])
+            assert np.array_equal(s2.mean_grad, mean) and s2.variance_stat == var
+            assert s1.variance_stat == var and np.array_equal(dev2, dev1)
+
+    def test_every_row_once_with_more_threads_than_cpus(self, monkeypatch):
+        # eight threads take chunks from one shared list while the
+        # interpreter switches threads as often as it can: a chunk handed
+        # out twice or lost shows as a row counted 2 or 0 times
+        from concurrent.futures import ThreadPoolExecutor
+
+        set_workers(monkeypatch, 8)
+        pool = ThreadPoolExecutor(7)
+        monkeypatch.setattr(model, "_pool", pool)
+        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (4096, 4097, 20000, 100001):
+                seen = np.zeros(n, dtype=np.int64)
+
+                def mark(rows):
+                    seen[rows] += 1
+
+                model._in_parallel(mark, n)
+                assert np.all(seen == 1), n
+            rng, ref = stream_rng(3, 0, 0), stream_rng(3, 0, 0)
+            assert np.array_equal(_uniform_rows(rng, 100001, 20), ref.random((100001, 20)))
+            assert np.array_equal(rng.random(3), ref.random(3))
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+
+    def test_problem_fields_run_on_the_calling_thread_only(self, monkeypatch):
+        # worker threads run numpy kernels only: the benchmark's tracer
+        # wraps the problem's fields with one shared span stack
+        set_workers(monkeypatch, 2)
+        submitted = []
+        executor = model._executor
+
+        class Counting:
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                return executor().submit(fn, *args)
+
+        monkeypatch.setattr(model, "_executor", Counting)
+        threads = []
+
+        def on_thread(fn):
+            def recorded(*args):
+                threads.append(threading.current_thread())
+                return fn(*args)
+            return recorded
+
+        problem, cset = make_basic_example(0)
+        problem = dataclasses.replace(
+            problem,
+            sampler=on_thread(problem.sampler),
+            value_many=on_thread(problem.value_many),
+            grad_many=on_thread(problem.grad_many),
+        )
+        cfg = OptimizerConfig(alpha=0.025, max_iters=3, test=TestConfig(theta=0.5),
+                              initial_sample_size=6000)
+        run_spgd_adaptive(problem, cset, cfg, np.ones(20))
+        assert len(threads) == 9
+        assert set(threads) == {threading.main_thread()}
+        assert submitted  # the passes did split
 
 
 class TestSampleObjective:

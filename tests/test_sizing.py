@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adasamp.algorithms import EqualityConstraint, OptimizerConfig, run_sqp_adaptive
 from adasamp.geometry import Hyperplane
-from adasamp.model import GradientStats
+from adasamp.model import GradientStats, StochasticProblem
 from adasamp.problems import make_basic_example
 from adasamp.sizing import TestConfig, norm_test, sqp_norm_test
 from oracles import condition_diagnostic, full_space
@@ -55,6 +56,14 @@ class TestNormTest:
             norm_test(stats(float("nan"), n=10), np.ones(3), CFG)
         assert "two samples" not in str(info.value)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
+    def test_non_finite_reduced_gradient_is_rejected(self, bad):
+        # a NaN rho would read as a failed test and grow the set to the cap
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="non-finite squared reduced-gradient norm"
+        ):
+            norm_test(stats(1.0), np.array([1.0, bad, 0.0]), CFG)
+
 
 class TestSqpNormTest:
     def test_identical_directions_pass_with_zero_rho(self):
@@ -84,6 +93,38 @@ class TestSqpNormTest:
         dirs = np.array([[1.0, -2.0], [-1.0, 2.0]])
         with pytest.raises(ValueError, match="nonzero mean direction"):
             sqp_norm_test(dirs, dirs.mean(axis=0), CFG)
+
+    def test_non_finite_mean_direction_is_rejected(self):
+        dirs = np.array([[1.0, 2.0], [float("nan"), 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite squared mean-direction norm"):
+            sqp_norm_test(dirs, dirs.mean(axis=0), CFG)
+
+    def test_non_finite_statistic_is_rejected(self):
+        # finite directions whose squared deviations overflow
+        dirs = np.array([[1e200, 1.0], [-1e200, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite statistic"):
+            sqp_norm_test(dirs, np.array([0.0, 1.0]), CFG)
+
+    def test_a_nan_direction_stops_the_sqp_driver_with_an_error(self):
+        # one NaN per-sample gradient used to push the set to the cap and end
+        # the run as sample-budget-exhausted
+        def grad_many(x, xis):
+            grads = np.tile(x, (xis.shape[0], 1)) - xis
+            grads[-1, 0] = np.nan
+            return grads
+
+        problem = StochasticProblem(
+            dim=2,
+            sampler=lambda rng, n: rng.random((n, 2)),
+            value_many=lambda x, xis: 0.5 * np.sum((x - xis) ** 2, axis=1),
+            grad_many=grad_many,
+        )
+        sphere = EqualityConstraint(
+            value=lambda x: float(x @ x) - 1.0, grad=lambda x: 2.0 * np.asarray(x, float)
+        )
+        cfg = OptimizerConfig(alpha=0.1, max_iters=5, test=CFG, initial_sample_size=8)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_sqp_adaptive(problem, sphere, cfg, np.array([0.6, 0.8]))
 
     def test_scale_invariance_between_dirs_and_reduced_grads(self):
         rng = np.random.default_rng(5)
