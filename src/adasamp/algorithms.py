@@ -84,6 +84,11 @@ class OptimizerConfig:
             )
         if self.initial_sample_size < 1:
             raise ValueError("initial_sample_size must be >= 1")
+        if self.adaptive and self.initial_sample_size > self.test.max_sample_size:
+            raise ValueError(
+                "initial_sample_size must be <= test.max_sample_size "
+                "(a failed test would shrink the set to the cap)"
+            )
 
 
 @dataclass
@@ -324,13 +329,16 @@ def run_sqp_adaptive(
                 break
             if not cfg.adaptive:
                 break
-            outcome = sqp_norm_test(np.divide(dirs, -cfg.alpha), reduced_grad, cfg.test)
+            # the test overwrites the reduced gradients with their
+            # deviations; dirs is not read again once d_mean is taken
+            outcome = sqp_norm_test(np.divide(dirs, -cfg.alpha, out=dirs), reduced_grad, cfg.test)
             rho = outcome.rho
             if outcome.passed:
                 break
             if outcome.next_size <= grads.shape[0]:
                 status = STATUS_SAMPLE_BUDGET  # already at the cap, test still failing
                 break
+            del dirs  # freed before the set and its gradients grow
             sample_set = extend_samples(problem, sample_set, outcome.next_size)
             new_tail = sample_set.realizations[grads.shape[0]:]
             grads = np.vstack([grads, batch_grads(problem, x, new_tail)])

@@ -48,6 +48,10 @@ _BLOCK_ROWS = 512
 _PARALLEL_MIN_ROWS = 32768
 # Largest chunk of a parallel pass, in 512-row blocks (8192 rows).
 _CHUNK_BLOCKS = 16
+# Chunk of a pipelined pass, in 512-row blocks, and the chunk buffers in
+# flight: the producer fills one while a pool thread consumes the other.
+_PIPE_CHUNK_BLOCKS = 2
+_PIPE_BUFFERS = 2
 
 
 def stream_rng(base_seed: int, *stream: int) -> np.random.Generator:
@@ -241,6 +245,54 @@ def _in_parallel(fn: Callable[[slice], None], n: int) -> None:
         drain()
     finally:
         for future in futures:
+            future.result()
+
+
+def _pipelined(
+    produce: Callable[[np.ndarray, slice], None],
+    consume: Callable[[np.ndarray, slice], None],
+    n: int,
+    width: int,
+) -> None:
+    """Call ``produce(buf, rows)`` and then ``consume(buf, rows)`` on row
+    chunks that cover rows 0..n-1 once, where ``buf`` is a (rows, width)
+    float buffer that ``produce`` fills and ``consume`` reads.
+
+    The calling thread produces the chunks in row order, so a serial stream
+    stays serial; a pool thread consumes each chunk while the calling thread
+    produces the next. Chunks are ``_PIPE_CHUNK_BLOCKS`` whole 512-row blocks
+    (the last one may end in a partial block), and they cycle through a ring
+    of ``_PIPE_BUFFERS`` buffers: a buffer is filled again only after the
+    consume that reads it has returned. The last chunk is consumed on the
+    calling thread, which has nothing left to produce, and so is every chunk
+    when there are fewer than two chunks or one CPU. ``consume`` follows the
+    rule of ``_in_parallel``: numpy work on its own rows only, never a
+    problem's evaluators or a traced ``adasamp`` function.
+    """
+    step = _PIPE_CHUNK_BLOCKS * _BLOCK_ROWS
+    chunks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    pool = _executor() if len(chunks) > 1 and _workers() > 1 else None
+    bufs = [np.empty((min(step, n), width)) for _ in range(1 if pool is None else _PIPE_BUFFERS)]
+    pending = [None] * len(bufs)
+    try:
+        for j, rows in enumerate(chunks):
+            i = j % len(bufs)
+            if pending[i] is not None:
+                pending[i].result()
+                pending[i] = None
+            buf = bufs[i][: rows.stop - rows.start]
+            produce(buf, rows)
+            if pool is None or rows.stop == n:
+                consume(buf, rows)
+            else:
+                pending[i] = pool.submit(consume, buf, rows)
+    finally:
+        # on an error too: no consume may still run once this returns
+        for future in pending:
+            if future is not None:
+                future.exception()
+    for future in pending:
+        if future is not None:
             future.result()
 
 

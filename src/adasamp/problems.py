@@ -26,6 +26,7 @@ from .model import (
     _block_matvec,
     _in_parallel,
     _matvec,
+    _pipelined,
     _row_blocks,
     _uniform_rows,
     stream_rng,
@@ -125,25 +126,30 @@ def _max_return_infeasible(A: np.ndarray) -> bool:
     return float(np.max(A)) < RETURN_THRESHOLD
 
 
-def _correlate(u: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Rows of u @ B.T, computed in fixed-shape blocks.
+def _correlate_chunk(u: np.ndarray, B: np.ndarray, A: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = A + rows of u @ B.T, computed in fixed-shape 512-row blocks,
+    where the rows of u are a run of whole blocks of the draw (the last one
+    may be partial).
 
     BLAS accumulation order depends on operand shapes, so a plain matmul
     makes row i of the product vary (at the last ulp) with the number of
     rows drawn; fixed-shape blocks keep realization i a function of row i
-    alone, which the sampling contract (prefix stability) requires.
+    alone, which the sampling contract (prefix stability) requires. The full
+    blocks go through one stacked matmul, which makes the same per-block
+    BLAS calls as a loop over them, and a partial block, even of one row, is
+    zero-padded to the full block shape.
     """
-    n = u.shape[0]
-    out = np.empty((n, B.shape[0]))
-    for start in range(0, n, _BLOCK_ROWS):
-        block = u[start:start + _BLOCK_ROWS]
-        if block.shape[0] < _BLOCK_ROWS:
-            padded = np.zeros((_BLOCK_ROWS, u.shape[1]))
-            padded[: block.shape[0]] = block
-            out[start:] = (padded @ B.T)[: block.shape[0]]
-        else:
-            np.matmul(block, B.T, out=out[start:start + _BLOCK_ROWS])
-    return out
+    m, d = u.shape
+    k = m // _BLOCK_ROWS
+    full = k * _BLOCK_ROWS
+    if k:
+        np.matmul(u[:full].reshape(k, _BLOCK_ROWS, d), B.T,
+                  out=out[:full].reshape(k, _BLOCK_ROWS, B.shape[0]))
+    if full < m:
+        padded = np.zeros((_BLOCK_ROWS, d))
+        padded[: m - full] = u[full:]
+        out[full:] = (padded @ B.T)[: m - full]
+    np.add(out, A, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +157,12 @@ class PortfolioProblem:
     """Linear loss f(x; xi) = -<xi, x> with xi = A + B u, u ~ N(0, I), over
     normalized portfolios with expected return at least 1.05. A ~ Unif(0.9,1.2)
     and B ~ Unif(0,0.1) entrywise are frozen at generation time; ``redraws``
-    counts how many seeds were skipped before the feasibility witness held."""
+    counts how many seeds were skipped before the feasibility witness held.
+
+    The sampler draws the normals u serially, in stream order, on the
+    calling thread; each chunk of whole 512-row blocks is correlated and
+    shifted (``_correlate_chunk``) on a pool thread while the next chunk is
+    drawn, so realization i is the same at any CPU count."""
 
     A: np.ndarray
     B: np.ndarray
@@ -175,8 +186,14 @@ class PortfolioProblem:
         A, B = self.A, self.B
 
         def sampler(rng, n):
-            xis = _correlate(rng.standard_normal((n, PORTFOLIO_DIM)), B)
-            return np.add(xis, A, out=xis)
+            xis = np.empty((n, PORTFOLIO_DIM))
+            _pipelined(
+                lambda u, rows: rng.standard_normal(out=u),
+                lambda u, rows: _correlate_chunk(u, B, A, xis[rows]),
+                n,
+                PORTFOLIO_DIM,
+            )
+            return xis
 
         problem = StochasticProblem(
             dim=PORTFOLIO_DIM,

@@ -93,8 +93,14 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
     the ratio is identical whether directions or reduced gradients are passed.
     An exactly zero mean direction and a non-finite statistic or squared
     norm are rejected, as in ``norm_test``.
+
+    A writable float64 ``per_sample_dirs`` is overwritten: when n >= 2 and
+    its rows differ, it holds the deviations d_i - mean_dir on return. Pass a
+    copy to keep the directions; a read-only array is copied.
     """
     dirs = np.asarray(per_sample_dirs, dtype=float)
+    if not dirs.flags.writeable:
+        dirs = dirs.copy()
     mean_dir = np.asarray(mean_dir, dtype=float)
     n = dirs.shape[0]
     if n < 2:
@@ -109,7 +115,7 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
         raise ValueError("direction-variance test needs a nonzero mean direction")
     if np.all(dirs[1] == dirs[0]) and np.all(dirs == dirs[0]):
         return _outcome(0.0, n, cfg)
-    dev = dirs - mean_dir
+    dev = np.subtract(dirs, mean_dir, out=dirs)
     num = float(np.einsum("ij,ij->", dev, dev))
     if not math.isfinite(num):
         raise ValueError(

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: projections are
 verified against an exhaustive active-set QP enumeration, SQP steps against a
 dense KKT linear system, and gradients against central finite differences.
 The box, a leaf set only the tests use, is defined here too, and so is a
-Monte-Carlo check of the moments the sample-size theory controls.
+Monte-Carlo check of the moments the sample-size theory controls, and the
+setting of the worker count under which the parallel passes run.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from adasamp import model
 from adasamp.geometry import (
     ConstraintSet,
     Halfspace,
@@ -43,6 +45,15 @@ class Box(ConstraintSet):
 
     def _project(self, y):
         return np.clip(y, self.lower, self.upper)
+
+
+def set_workers(monkeypatch, workers):
+    """Run the parallel passes as on ``workers`` CPUs. Passes split from 4096
+    rows on and pipelined passes take 512-row chunks, so that small sizes
+    cover the split."""
+    monkeypatch.setattr(model, "_workers", lambda: workers)
+    monkeypatch.setattr(model, "_PARALLEL_MIN_ROWS", 4096)
+    monkeypatch.setattr(model, "_PIPE_CHUNK_BLOCKS", 1)
 
 
 def full_space(dim):

@@ -373,6 +373,15 @@ class TestOptimizerConfigValidation:
     def test_fixed_mode_allows_single_sample(self):
         assert cfg(s0=1, adaptive=False).initial_sample_size == 1
 
+    def test_rejects_adaptive_start_above_the_cap(self):
+        # a failed test sizes the next set to min(ceil(rho n), cap) < n:
+        # basic spgd with s0 = 500 and cap 100 dropped to 100 rows
+        with pytest.raises(ValueError, match="max_sample_size"):
+            cfg(s0=500, test_kw={"max_sample_size": 100})
+        assert cfg(s0=100, test_kw={"max_sample_size": 100}).initial_sample_size == 100
+        fixed = cfg(s0=500, adaptive=False, test_kw={"max_sample_size": 100})
+        assert fixed.initial_sample_size == 500
+
 
 class TestGradientOwnership:
     # gradient_stats overwrites the gradient array, so a grad_many that

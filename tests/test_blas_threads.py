@@ -1,8 +1,9 @@
-"""The portfolio value pass and the SQP directions are blocked matrix-vector
-products, so their bits do not depend on the BLAS thread count. One large
-call is split across threads, and the rows at the split change in the last
-bit; the OpenBLAS thread count is read once at start-up, hence one
-subprocess per setting."""
+"""The portfolio sampler's correlate, its value pass and the SQP directions
+are blocked products, so their bits do not depend on the BLAS thread count.
+One large call is split across threads, and the rows at the split change in
+the last bit; the OpenBLAS thread count is read once at start-up, hence one
+subprocess per setting. The sampler's blocks are correlated on pool threads
+while the normals are drawn, so its digest also covers that hand-off."""
 
 import json
 import os
@@ -25,22 +26,27 @@ import sys
 import numpy as np
 
 from adasamp.algorithms import sqp_directions
-from adasamp.model import draw_samples
+from adasamp.model import draw_samples, stream_rng
 from adasamp.problems import make_portfolio
 
 def digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 problem, _ = make_portfolio(0)
+A, B = problem.params["A"], problem.params["B"]
 x = np.full(problem.dim, 1.0 / np.sqrt(problem.dim))
 grad_G, G_val, alpha = 2.0 * x, 0.25, 0.025
 g_sq = float(grad_G @ grad_G)
 out = {}
 for n in json.loads(sys.argv[1]):
     xis = draw_samples(problem, n, 3, 0).realizations
+    u = np.zeros(((n + 511) // 512 * 512, 100))  # zero-padded to whole blocks
+    u[:n] = stream_rng(0, 0, 3).standard_normal((n, 100))
     grads = -xis
     single = (G_val - alpha * (grads @ grad_G)) / (alpha * g_sq)
     out[n] = {
+        "sampler": digest(xis),
+        "sampler_blocks": digest(A + np.concatenate([b @ B.T for b in u.reshape(-1, 512, 100)])[:n]),
         "values": digest(problem.value_many(x, xis)),
         "values_single_call": digest(-(xis @ x)),
         "directions": digest(sqp_directions(grads, grad_G, G_val, alpha)),
@@ -66,9 +72,12 @@ def digests(threads: int) -> dict:
 def test_value_pass_and_sqp_directions_do_not_depend_on_blas_threads():
     one, two = digests(1), digests(2)
     for n in map(str, SIZES):
-        # the same bits as one single-threaded call over all rows ...
+        # the same bits as one single-threaded call over all rows, or as
+        # one call per block for the sampler ...
+        assert one[n]["sampler"] == one[n]["sampler_blocks"], n
         assert one[n]["values"] == one[n]["values_single_call"], n
         assert one[n]["directions"] == one[n]["directions_single_call"], n
         # ... at any thread count
+        assert two[n]["sampler"] == one[n]["sampler"], n
         assert two[n]["values"] == one[n]["values"], n
         assert two[n]["directions"] == one[n]["directions"], n

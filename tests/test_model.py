@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adasamp import model
-from adasamp.algorithms import OptimizerConfig, run_spgd_adaptive
+from adasamp.algorithms import OptimizerConfig, run_cvar_extended, run_spgd_adaptive
 from adasamp.model import (
     SampleSet,
     StochasticProblem,
@@ -25,7 +25,7 @@ from adasamp.model import (
 )
 from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.sizing import TestConfig
-from oracles import central_diff, rel_err, rowwise_problem
+from oracles import central_diff, rel_err, rowwise_problem, set_workers
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +97,6 @@ class TestExtendSamples:
             extend_samples(problem, SampleSet(np.zeros((4, 20))), 8)
         with pytest.raises(ValueError, match="cannot extend"):
             extend_samples(problem, draw_samples(problem, 4, 0, 0), 4)
-
-
-def set_workers(monkeypatch, workers):
-    # split passes from 4096 rows on, so that small sizes cover the split
-    monkeypatch.setattr(model, "_workers", lambda: workers)
-    monkeypatch.setattr(model, "_PARALLEL_MIN_ROWS", 4096)
 
 
 class TestUniformRows:
@@ -245,19 +239,146 @@ class TestRowParallelPasses:
                 return fn(*args)
             return recorded
 
+        def recorded(problem):
+            return dataclasses.replace(
+                problem,
+                sampler=on_thread(problem.sampler),
+                value_many=on_thread(problem.value_many),
+                grad_many=on_thread(problem.grad_many),
+            )
+
         problem, cset = make_basic_example(0)
-        problem = dataclasses.replace(
-            problem,
-            sampler=on_thread(problem.sampler),
-            value_many=on_thread(problem.value_many),
-            grad_many=on_thread(problem.grad_many),
-        )
         cfg = OptimizerConfig(alpha=0.025, max_iters=3, test=TestConfig(theta=0.5),
                               initial_sample_size=6000)
-        run_spgd_adaptive(problem, cset, cfg, np.ones(20))
+        run_spgd_adaptive(recorded(problem), cset, cfg, np.ones(20))
         assert len(threads) == 9
         assert set(threads) == {threading.main_thread()}
         assert submitted  # the passes did split
+
+        # the portfolio sampler's correlate runs on pool threads
+        threads.clear()
+        submitted.clear()
+        problem, cset = make_portfolio(0)
+        cfg = dataclasses.replace(cfg, initial_sample_size=3000, max_iters=2)
+        run_cvar_extended(recorded(problem), cset, 0.9, 0.1, cfg, np.full(100, 0.01))
+        assert threads and set(threads) == {threading.main_thread()}
+        assert submitted
+
+
+class TestPipelined:
+    """The producer/consumer helper under the portfolio sampler."""
+
+    @staticmethod
+    def marking(n, produce_s=0.0, consume_extra=None):
+        # produce writes each row's index into the buffer (taking produce_s
+        # seconds); consume copies it out and counts the rows it saw
+        out = np.full(n, -1.0)
+        seen = np.zeros(n, dtype=np.int64)
+        order = []
+
+        def produce(buf, rows):
+            order.append(rows.start)
+            if produce_s:
+                threading.Event().wait(produce_s)
+            buf[:] = np.arange(rows.start, rows.stop)[:, None]
+
+        def consume(buf, rows):
+            if consume_extra is not None:
+                consume_extra(buf, rows)
+            out[rows] = buf[:, 0]
+            seen[rows] += 1
+
+        return produce, consume, out, seen, order
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(7)
+        monkeypatch.setattr(model, "_pool", pool)
+        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        yield pool
+        pool.shutdown()
+
+    def test_every_chunk_once_in_order_with_more_threads_than_cpus(self, monkeypatch, pool):
+        # eight threads while the interpreter switches threads as often as
+        # it can: a chunk lost or consumed twice shows in the counts, and a
+        # buffer refilled before its consume read it shows in the values
+        set_workers(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (1, 511, 512, 513, 1024, 4097, 20000):
+                produce, consume, out, seen, order = self.marking(n)
+                model._pipelined(produce, consume, n, 3)
+                assert np.all(seen == 1), n
+                assert np.array_equal(out, np.arange(n)), n
+                assert order == list(range(0, n, 512)), n
+        finally:
+            sys.setswitchinterval(interval)
+
+    # the pool keeps up with the producer, or falls behind it
+    @pytest.mark.parametrize("produce_s, consume_s", [(0.004, 0.002), (0.0, 0.003)])
+    def test_no_buffer_refilled_while_its_consume_runs(self, monkeypatch, pool,
+                                                      produce_s, consume_s):
+        set_workers(monkeypatch, 4)
+        lock = threading.Lock()
+        busy, clashes = set(), []
+
+        def slow(buf, rows):
+            with lock:
+                busy.add(buf.ctypes.data)
+            threading.Event().wait(consume_s)
+            with lock:
+                busy.discard(buf.ctypes.data)
+
+        produce, consume, out, seen, _ = self.marking(8000, produce_s, slow)
+
+        def checked(buf, rows):
+            with lock:
+                if buf.ctypes.data in busy:
+                    clashes.append(rows.start)
+            produce(buf, rows)
+
+        model._pipelined(checked, consume, 8000, 2)
+        assert clashes == []
+        assert np.all(seen == 1) and np.array_equal(out, np.arange(8000))
+
+    @pytest.mark.parametrize("failing", ["produce", "consume"])
+    def test_an_error_propagates_once_no_consume_can_run(self, monkeypatch, pool, failing):
+        # an error surfaces while a slow consume is in flight: it may
+        # propagate only once that consume has returned, and no consume may
+        # start after it
+        set_workers(monkeypatch, 4)
+        slow_chunk = 2 * 512 if failing == "produce" else 3 * 512
+        lock = threading.Lock()
+        started, finished = [], []
+
+        def tracked(buf, rows):
+            with lock:
+                started.append(rows.start)
+            if failing == "consume" and rows.start == 2 * 512:
+                threading.Event().wait(0.01)
+                raise ArithmeticError("chunk 2")
+            threading.Event().wait(0.03 if rows.start == slow_chunk else 0.0)
+            with lock:
+                finished.append(rows.start)
+
+        produce, consume, *_ = self.marking(10 * 512, 0.005, tracked)
+
+        def checked(buf, rows):
+            produce(buf, rows)
+            if failing == "produce" and rows.start == 3 * 512:
+                raise ArithmeticError("chunk 3")
+
+        with pytest.raises(ArithmeticError, match="chunk"):
+            model._pipelined(checked, consume, 10 * 512, 1)
+        with lock:
+            at_return = (sorted(started), sorted(finished))
+        threading.Event().wait(0.1)
+        assert (sorted(started), sorted(finished)) == at_return
+        assert set(started) - {2 * 512 if failing == "consume" else -1} == set(finished)
+        assert slow_chunk in finished
 
 
 class TestSampleObjective:

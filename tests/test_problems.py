@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,13 @@ from adasamp.model import batch_grads, draw_samples, stream_rng
 from adasamp.problems import (
     BasicExample,
     PortfolioProblem,
-    _correlate,
+    _correlate_chunk,
     _max_return_infeasible,
     basic_optimum,
     make_basic_example,
     make_portfolio,
 )
-from oracles import central_diff, rel_err
+from oracles import central_diff, rel_err, set_workers
 
 
 def block_correlate_reference(u, B, block=512):
@@ -179,16 +181,29 @@ class TestPortfolio:
             big = draw_samples(problem, n_big, 3, 42)
             np.testing.assert_array_equal(big.realizations[:n_small], small.realizations)
 
-    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1500])
-    def test_sampler_matches_reference_block_product_exactly(self, portfolio, n):
+    # with 512-row chunks, 513, 1025, 1537, 2049 and 4097 end in a one-row
+    # chunk, a zero-padded one-row block
+    @pytest.mark.parametrize(
+        "n", [1, 511, 512, 513, 1023, 1024, 1025, 1500, 1537, 2049, 4097, 20003]
+    )
+    def test_sampler_matches_reference_block_product_exactly(self, monkeypatch, portfolio, n):
         problem, _ = portfolio
         A, B = problem.params["A"], problem.params["B"]
-        xis = problem.sampler(stream_rng(5, 0, n), n)
-        u = stream_rng(5, 0, n).standard_normal((n, 100))
-        assert np.array_equal(xis, A + block_correlate_reference(u, B))
+        ref = stream_rng(5, 0, n)
+        want = A + block_correlate_reference(ref.standard_normal((n, 100)), B)
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            rng = stream_rng(5, 0, n)
+            assert np.array_equal(problem.sampler(rng, n), want), workers
+            # the generator ends where the serial draw leaves it
+            assert np.array_equal(rng.standard_normal(5), copy.deepcopy(ref).standard_normal(5))
 
     def test_correlate_matches_plain_product(self):
+        # the sampler's consume step: the shifted product, in fixed blocks
         rng = np.random.default_rng(8)
         u = rng.standard_normal((1300, 100))
         B = rng.uniform(0.0, 0.1, size=(100, 100))
-        np.testing.assert_allclose(_correlate(u, B), u @ B.T, rtol=1e-13, atol=1e-15)
+        A = rng.uniform(0.9, 1.2, size=100)
+        out = np.empty((1300, 100))
+        _correlate_chunk(u, B, A, out)
+        np.testing.assert_allclose(out, A + u @ B.T, rtol=1e-13, atol=1e-15)

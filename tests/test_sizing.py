@@ -82,7 +82,7 @@ class TestSqpNormTest:
         rng = np.random.default_rng(3)
         dirs = rng.normal(size=(9, 4))
         mean = dirs.mean(axis=0)
-        out = sqp_norm_test(dirs, mean, CFG)
+        out = sqp_norm_test(dirs.copy(), mean, CFG)
         # written out directly from the definition
         n = dirs.shape[0]
         num = sum(float((d - mean) @ (d - mean)) for d in dirs)
@@ -130,9 +130,24 @@ class TestSqpNormTest:
         rng = np.random.default_rng(5)
         dirs = rng.normal(size=(7, 3))
         alpha = 0.3
-        a = sqp_norm_test(dirs, dirs.mean(axis=0), CFG)
+        a = sqp_norm_test(dirs.copy(), dirs.mean(axis=0), CFG)
         b = sqp_norm_test(-dirs / alpha, -dirs.mean(axis=0) / alpha, CFG)
         assert a.rho == pytest.approx(b.rho, rel=1e-12)
+
+    def test_overwrites_argument_with_deviations(self):
+        # the SQP driver passes its directions buffer, which it does not
+        # read again, so the test needs no n x d array of its own
+        dirs = np.random.default_rng(6).normal(size=(40, 5)) + 0.5
+        mean = dirs.mean(axis=0)
+        work = dirs.copy()
+        want = sqp_norm_test(dirs.copy(), mean, CFG)
+        assert sqp_norm_test(work, mean, CFG) == want
+        assert np.array_equal(work, dirs - mean)
+        # a read-only argument is left alone
+        frozen = dirs.copy()
+        frozen.setflags(write=False)
+        assert sqp_norm_test(frozen, mean, CFG) == want
+        assert np.array_equal(frozen, dirs)
 
 
 @settings(max_examples=80, deadline=None)
