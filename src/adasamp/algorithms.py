@@ -366,17 +366,14 @@ def run_cvar_extended(
 ) -> RunResult:
     """Smoothed-CVaR minimization over (x, t) with the product set C x R.
 
-    beta = 0 is plain expectation and dispatches to the risk-neutral driver.
     t0 defaults to the sample mean of f(x0; xi) over the initial sample set
     and is recorded in the result extras.
     """
-    if beta == 0.0:
-        return run_spgd_adaptive(problem, cset, cfg, x0)
     extended = ExtendedProblem(problem, beta, epsilon)
     x_start = project(cset, np.asarray(x0, dtype=float)).point
     s0 = draw_samples(problem, cfg.initial_sample_size, 0, cfg.seed)
     t0 = float(np.mean(batch_values(problem, x_start, s0.realizations)))
-    product = ProductWithFree(cset, 1)
+    product = ProductWithFree(cset)
     z = project(product, np.concatenate([x_start, [t0]])).point
     result = _drive(extended, _expectation_step(extended, product, cfg, aux_t=True), cfg, z)
     z = result.state.x
@@ -412,7 +409,8 @@ def run_nested_quantile(
         t_k = quantile_solve(fs, beta, epsilon)
         grads = batch_grads(problem, x, sample_set.realizations)
         weights = expit((fs - t_k) / epsilon)
-        s = _projected_step(cset, x, gradient_stats(weights[:, None] * grads), cfg.alpha, cfg)
+        np.multiply(grads, weights[:, None], out=grads)
+        s = _projected_step(cset, x, gradient_stats(grads), cfg.alpha, cfg)
         s.objective = float(t_k + np.mean(smooth_plus(fs - t_k, epsilon)) / (1.0 - beta))
         s.t = t_k
         return s

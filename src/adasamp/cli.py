@@ -124,32 +124,18 @@ def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
 
 def _build_problem(cfg: ExperimentConfig):
     if cfg.problem == "basic":
-        params = BasicExample.generate(cfg.seed)
-        problem, cset = params.build()
+        problem, cset = BasicExample.generate(cfg.seed).build()
         x0 = np.ones(problem.dim)
     else:
-        params = PortfolioProblem.generate(cfg.seed)
-        problem, cset = params.build()
+        problem, cset = PortfolioProblem.generate(cfg.seed).build()
         x0 = np.full(problem.dim, 1.0 / problem.dim)
-    return params, problem, cset, x0
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    return problem, cset, x0
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run one experiment, write the CSV log and its metadata sidecar."""
     cfg.validate()
-    params, problem, cset, x0 = _build_problem(cfg)
+    problem, cset, x0 = _build_problem(cfg)
     opt = _optimizer_config(cfg)
 
     if cfg.algorithm in ("spgd", "spgd-fixed"):
@@ -182,19 +168,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "version": __version__,
         "config": asdict(cfg),
         "status": result.status,
-        "problem_params": _jsonable(problem.params),
-        "x0": _jsonable(x0),
-        "final_x": _jsonable(result.state.x),
+        "problem_params": problem.params,
+        "x0": x0,
+        "final_x": result.state.x,
         "final_t": result.state.t,
         "final_sample_size": result.state.sample_size,
         "cumulative_grad_evals": result.state.cumulative_grad_evals,
         "iterations": result.state.iteration,
-        "extras": _jsonable(
-            {k: v for k, v in result.extras.items() if k in ("t0", "augment_rounds")}
-        ),
+        "extras": {k: v for k, v in result.extras.items() if k in ("t0", "augment_rounds")},
     }
     with open(str(out) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(meta, fh, indent=2, default=lambda o: o.tolist())
 
     print(f"{cfg.problem}/{cfg.algorithm}: {result.status} after "
           f"{result.state.iteration} iterations, "

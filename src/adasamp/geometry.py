@@ -162,19 +162,14 @@ class Intersection(ConstraintSet):
 
 @dataclass(frozen=True, eq=False)
 class ProductWithFree(ConstraintSet):
-    """Cartesian product of a base set with R^n_free: the trailing
-    coordinates are unconstrained and pass through projection unchanged."""
+    """Cartesian product of a base set with R: the trailing coordinate is
+    unconstrained and passes through projection unchanged."""
 
     base: ConstraintSet
-    n_free: int = 1
-
-    def __post_init__(self):
-        if self.n_free < 1:
-            raise ValueError("n_free must be >= 1")
 
     @property
     def dim(self) -> int:
-        return self.base.dim + self.n_free
+        return self.base.dim + 1
 
 
 def project_simplex(y) -> np.ndarray:

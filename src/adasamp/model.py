@@ -48,10 +48,8 @@ _BLOCK_ROWS = 512
 _PARALLEL_MIN_ROWS = 32768
 # Largest chunk of a parallel pass, in 512-row blocks (8192 rows).
 _CHUNK_BLOCKS = 16
-# Chunk of a pipelined pass, in 512-row blocks, and the chunk buffers in
-# flight: the producer fills one while a pool thread consumes the other.
+# Chunk of a pipelined pass, in 512-row blocks.
 _PIPE_CHUNK_BLOCKS = 2
-_PIPE_BUFFERS = 2
 
 
 def stream_rng(base_seed: int, *stream: int) -> np.random.Generator:
@@ -248,52 +246,38 @@ def _in_parallel(fn: Callable[[slice], None], n: int) -> None:
             future.result()
 
 
-def _pipelined(
-    produce: Callable[[np.ndarray, slice], None],
-    consume: Callable[[np.ndarray, slice], None],
-    n: int,
-    width: int,
-) -> None:
-    """Call ``produce(buf, rows)`` and then ``consume(buf, rows)`` on row
-    chunks that cover rows 0..n-1 once, where ``buf`` is a (rows, width)
-    float buffer that ``produce`` fills and ``consume`` reads.
+def _pipelined(produce: Callable[[slice], None], consume: Callable[[slice], None], n: int) -> None:
+    """Call ``produce(rows)`` and then ``consume(rows)`` on row chunks that
+    cover rows 0..n-1 once; both work in place on rows of an array the
+    caller holds.
 
     The calling thread produces the chunks in row order, so a serial stream
-    stays serial; a pool thread consumes each chunk while the calling thread
-    produces the next. Chunks are ``_PIPE_CHUNK_BLOCKS`` whole 512-row blocks
-    (the last one may end in a partial block), and they cycle through a ring
-    of ``_PIPE_BUFFERS`` buffers: a buffer is filled again only after the
-    consume that reads it has returned. The last chunk is consumed on the
-    calling thread, which has nothing left to produce, and so is every chunk
-    when there are fewer than two chunks or one CPU. ``consume`` follows the
-    rule of ``_in_parallel``: numpy work on its own rows only, never a
-    problem's evaluators or a traced ``adasamp`` function.
+    stays serial; pool threads consume each chunk while the calling thread
+    produces the next ones. Chunks are ``_PIPE_CHUNK_BLOCKS`` whole 512-row
+    blocks (the last one may end in a partial block). The last chunk is
+    consumed on the calling thread, which has nothing left to produce, and
+    so is every chunk when there are fewer than two chunks or one CPU; all
+    consumes have returned when this returns, on an error too. ``consume``
+    follows the rule of ``_in_parallel``: numpy work on its own rows only,
+    never a problem's evaluators or a traced ``adasamp`` function.
     """
     step = _PIPE_CHUNK_BLOCKS * _BLOCK_ROWS
     chunks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
     pool = _executor() if len(chunks) > 1 and _workers() > 1 else None
-    bufs = [np.empty((min(step, n), width)) for _ in range(1 if pool is None else _PIPE_BUFFERS)]
-    pending = [None] * len(bufs)
+    pending = []
     try:
-        for j, rows in enumerate(chunks):
-            i = j % len(bufs)
-            if pending[i] is not None:
-                pending[i].result()
-                pending[i] = None
-            buf = bufs[i][: rows.stop - rows.start]
-            produce(buf, rows)
+        for rows in chunks:
+            produce(rows)
             if pool is None or rows.stop == n:
-                consume(buf, rows)
+                consume(rows)
             else:
-                pending[i] = pool.submit(consume, buf, rows)
+                pending.append(pool.submit(consume, rows))
     finally:
         # on an error too: no consume may still run once this returns
         for future in pending:
-            if future is not None:
-                future.exception()
+            future.exception()
     for future in pending:
-        if future is not None:
-            future.result()
+        future.result()
 
 
 def _uniform_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -361,26 +345,42 @@ def sample_objective(problem, x, sample_set: SampleSet) -> float:
     return float(np.mean(batch_values(problem, x, sample_set.realizations)))
 
 
+def _deviation_sum(rows: np.ndarray, center: np.ndarray) -> float:
+    """sum_i ||rows_i - center||^2 over n >= 2 rows (index-ordered
+    reduction, so the result is bit-stable), exactly 0.0 when all rows are
+    equal.
+
+    A writable float64 ``rows`` holds the deviations rows_i - center on
+    return, unless all rows are equal; a read-only or non-float64 argument
+    is copied first. The deviations are formed in ``_in_parallel`` row
+    chunks and summed by one ``einsum``, so the sum has the same bits at any
+    CPU count.
+    """
+    dev = np.asarray(rows, dtype=float)
+    if np.all(dev[1] == dev[0]) and np.all(dev == dev[0]):
+        # identical rows must give exactly zero, not summation fuzz; the
+        # two-row check skips the full scan whenever rows 0 and 1 differ
+        return 0.0
+    if not dev.flags.writeable:
+        dev = dev.copy()
+    _in_parallel(lambda r: np.subtract(dev[r], center, out=dev[r]), dev.shape[0])
+    return float(np.einsum("ij,ij->", dev, dev))
+
+
 def gradient_stats(grads: np.ndarray) -> GradientStats:
     """Statistics of a stack of per-sample gradients (index-ordered reduction,
     so the result is bit-stable).
 
-    A float64 ``grads`` is overwritten: when n >= 2 and its rows differ, it
-    holds the deviations g_i - mean on return. Pass a copy to keep the
-    gradients.
+    The statistic is ``_deviation_sum(grads, mean) / ((n - 1) n)``, the
+    kernel ``sqp_norm_test`` shares. A writable float64 ``grads`` is
+    overwritten: when n >= 2 and its rows differ, it holds the deviations
+    g_i - mean on return. Pass a copy to keep the gradients; a read-only
+    array is copied.
     """
     grads = np.asarray(grads, dtype=float)
     n = grads.shape[0]
     mean = grads.mean(axis=0)
-    if n < 2:
-        variance_stat = math.nan
-    elif np.all(grads[1] == grads[0]) and np.all(grads == grads[0]):
-        # identical rows must give exactly zero, not summation fuzz; the
-        # two-row check skips the full scan whenever rows 0 and 1 differ
-        variance_stat = 0.0
-    else:
-        _in_parallel(lambda rows: np.subtract(grads[rows], mean, out=grads[rows]), n)
-        variance_stat = float(np.einsum("ij,ij->", grads, grads) / ((n - 1) * n))
+    variance_stat = _deviation_sum(grads, mean) / ((n - 1) * n) if n >= 2 else math.nan
     return GradientStats(mean, variance_stat, n)
 
 

@@ -126,8 +126,8 @@ def _max_return_infeasible(A: np.ndarray) -> bool:
     return float(np.max(A)) < RETURN_THRESHOLD
 
 
-def _correlate_chunk(u: np.ndarray, B: np.ndarray, A: np.ndarray, out: np.ndarray) -> None:
-    """out[:] = A + rows of u @ B.T, computed in fixed-shape 512-row blocks,
+def _correlate_chunk(u: np.ndarray, B: np.ndarray, A: np.ndarray) -> None:
+    """u[:] = A + u @ B.T in place, computed in fixed-shape 512-row blocks,
     where the rows of u are a run of whole blocks of the draw (the last one
     may be partial).
 
@@ -136,20 +136,21 @@ def _correlate_chunk(u: np.ndarray, B: np.ndarray, A: np.ndarray, out: np.ndarra
     rows drawn; fixed-shape blocks keep realization i a function of row i
     alone, which the sampling contract (prefix stability) requires. The full
     blocks go through one stacked matmul, which makes the same per-block
-    BLAS calls as a loop over them, and a partial block, even of one row, is
-    zero-padded to the full block shape.
+    BLAS calls as a loop over them (numpy buffers the input that overlaps
+    the output), and a partial block, even of one row, is zero-padded to the
+    full block shape.
     """
     m, d = u.shape
     k = m // _BLOCK_ROWS
     full = k * _BLOCK_ROWS
     if k:
-        np.matmul(u[:full].reshape(k, _BLOCK_ROWS, d), B.T,
-                  out=out[:full].reshape(k, _BLOCK_ROWS, B.shape[0]))
+        blocks = u[:full].reshape(k, _BLOCK_ROWS, d)
+        np.matmul(blocks, B.T, out=blocks)
     if full < m:
         padded = np.zeros((_BLOCK_ROWS, d))
         padded[: m - full] = u[full:]
-        out[full:] = (padded @ B.T)[: m - full]
-    np.add(out, A, out=out)
+        u[full:] = (padded @ B.T)[: m - full]
+    np.add(u, A, out=u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +161,10 @@ class PortfolioProblem:
     counts how many seeds were skipped before the feasibility witness held.
 
     The sampler draws the normals u serially, in stream order, on the
-    calling thread; each chunk of whole 512-row blocks is correlated and
-    shifted (``_correlate_chunk``) on a pool thread while the next chunk is
-    drawn, so realization i is the same at any CPU count."""
+    calling thread, straight into the rows of its output; each chunk of
+    whole 512-row blocks is correlated and shifted in place
+    (``_correlate_chunk``) on a pool thread while the next chunk is drawn,
+    so realization i is the same at any CPU count."""
 
     A: np.ndarray
     B: np.ndarray
@@ -188,10 +190,9 @@ class PortfolioProblem:
         def sampler(rng, n):
             xis = np.empty((n, PORTFOLIO_DIM))
             _pipelined(
-                lambda u, rows: rng.standard_normal(out=u),
-                lambda u, rows: _correlate_chunk(u, B, A, xis[rows]),
+                lambda rows: rng.standard_normal(out=xis[rows]),
+                lambda rows: _correlate_chunk(xis[rows], B, A),
                 n,
-                PORTFOLIO_DIM,
             )
             return xis
 

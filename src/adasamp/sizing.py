@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GradientStats
+from .model import GradientStats, _deviation_sum
 
 __all__ = [
     "TestConfig",
@@ -94,13 +94,13 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
     An exactly zero mean direction and a non-finite statistic or squared
     norm are rejected, as in ``norm_test``.
 
-    A writable float64 ``per_sample_dirs`` is overwritten: when n >= 2 and
-    its rows differ, it holds the deviations d_i - mean_dir on return. Pass a
-    copy to keep the directions; a read-only array is copied.
+    The numerator is the deviation sum of ``gradient_stats``
+    (``model._deviation_sum``, split in row chunks across CPUs). A writable
+    float64 ``per_sample_dirs`` is overwritten: when n >= 2 and its rows
+    differ, it holds the deviations d_i - mean_dir on return. Pass a copy to
+    keep the directions; a read-only array is copied.
     """
     dirs = np.asarray(per_sample_dirs, dtype=float)
-    if not dirs.flags.writeable:
-        dirs = dirs.copy()
     mean_dir = np.asarray(mean_dir, dtype=float)
     n = dirs.shape[0]
     if n < 2:
@@ -113,10 +113,7 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
         )
     if m_sq == 0.0:
         raise ValueError("direction-variance test needs a nonzero mean direction")
-    if np.all(dirs[1] == dirs[0]) and np.all(dirs == dirs[0]):
-        return _outcome(0.0, n, cfg)
-    dev = np.subtract(dirs, mean_dir, out=dirs)
-    num = float(np.einsum("ij,ij->", dev, dev))
+    num = _deviation_sum(dirs, mean_dir)
     if not math.isfinite(num):
         raise ValueError(
             f"direction-variance test got a non-finite statistic ({num}) "
@@ -124,4 +121,3 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
         )
     rho = num / (cfg.theta**2 * (n - 1) * n * m_sq)
     return _outcome(rho, n, cfg)
-

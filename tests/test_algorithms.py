@@ -268,15 +268,12 @@ class TestRunSqpAdaptive:
 
 
 class TestRunCvarExtended:
-    def test_beta_zero_dispatches_to_risk_neutral(self, basic):
-        import dataclasses
-
+    @pytest.mark.parametrize("driver", [run_cvar_extended, run_nested_quantile])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_both_cvar_drivers_reject_beta_outside_the_open_interval(self, basic, driver, beta):
         problem, cset = basic
-        c = cfg(iters=15)
-        plain = run_spgd_adaptive(problem, cset, c, np.ones(20))
-        via_cvar = run_cvar_extended(problem, cset, 0.0, 0.1, c, np.ones(20))
-        strip = lambda rs: [dataclasses.replace(r, wall_time_ms=0.0) for r in rs]
-        assert strip(plain.records) == strip(via_cvar.records)
+        with pytest.raises(ValueError, match="beta"):
+            driver(problem, cset, beta, 0.1, cfg(iters=2), np.ones(20))
 
     def test_t_recorded_and_t0_is_initial_sample_mean(self, basic):
         problem, cset = basic

@@ -114,7 +114,7 @@ class TestDykstra:
 
 class TestProductWithFree:
     def test_trailing_coordinate_passes_through(self):
-        ps = ProductWithFree(NonNegativeOrthant(2), 1)
+        ps = ProductWithFree(NonNegativeOrthant(2))
         out = project(ps, [-1.0, 2.0, -7.5]).point
         np.testing.assert_allclose(out, [0.0, 2.0, -7.5])
 

@@ -270,22 +270,24 @@ class TestPipelined:
 
     @staticmethod
     def marking(n, produce_s=0.0, consume_extra=None):
-        # produce writes each row's index into the buffer (taking produce_s
-        # seconds); consume copies it out and counts the rows it saw
+        # produce writes each row's index into its rows of a shared array
+        # (taking produce_s seconds); consume copies them out and counts the
+        # rows it saw
+        filled = np.full(n, -1.0)
         out = np.full(n, -1.0)
         seen = np.zeros(n, dtype=np.int64)
         order = []
 
-        def produce(buf, rows):
+        def produce(rows):
             order.append(rows.start)
             if produce_s:
                 threading.Event().wait(produce_s)
-            buf[:] = np.arange(rows.start, rows.stop)[:, None]
+            filled[rows] = np.arange(rows.start, rows.stop)
 
-        def consume(buf, rows):
+        def consume(rows):
             if consume_extra is not None:
-                consume_extra(buf, rows)
-            out[rows] = buf[:, 0]
+                consume_extra(rows)
+            out[rows] = filled[rows]
             seen[rows] += 1
 
         return produce, consume, out, seen, order
@@ -303,46 +305,19 @@ class TestPipelined:
     def test_every_chunk_once_in_order_with_more_threads_than_cpus(self, monkeypatch, pool):
         # eight threads while the interpreter switches threads as often as
         # it can: a chunk lost or consumed twice shows in the counts, and a
-        # buffer refilled before its consume read it shows in the values
+        # consume that ran before its produce shows in the values
         set_workers(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for n in (1, 511, 512, 513, 1024, 4097, 20000):
                 produce, consume, out, seen, order = self.marking(n)
-                model._pipelined(produce, consume, n, 3)
+                model._pipelined(produce, consume, n)
                 assert np.all(seen == 1), n
                 assert np.array_equal(out, np.arange(n)), n
                 assert order == list(range(0, n, 512)), n
         finally:
             sys.setswitchinterval(interval)
-
-    # the pool keeps up with the producer, or falls behind it
-    @pytest.mark.parametrize("produce_s, consume_s", [(0.004, 0.002), (0.0, 0.003)])
-    def test_no_buffer_refilled_while_its_consume_runs(self, monkeypatch, pool,
-                                                      produce_s, consume_s):
-        set_workers(monkeypatch, 4)
-        lock = threading.Lock()
-        busy, clashes = set(), []
-
-        def slow(buf, rows):
-            with lock:
-                busy.add(buf.ctypes.data)
-            threading.Event().wait(consume_s)
-            with lock:
-                busy.discard(buf.ctypes.data)
-
-        produce, consume, out, seen, _ = self.marking(8000, produce_s, slow)
-
-        def checked(buf, rows):
-            with lock:
-                if buf.ctypes.data in busy:
-                    clashes.append(rows.start)
-            produce(buf, rows)
-
-        model._pipelined(checked, consume, 8000, 2)
-        assert clashes == []
-        assert np.all(seen == 1) and np.array_equal(out, np.arange(8000))
 
     @pytest.mark.parametrize("failing", ["produce", "consume"])
     def test_an_error_propagates_once_no_consume_can_run(self, monkeypatch, pool, failing):
@@ -354,7 +329,7 @@ class TestPipelined:
         lock = threading.Lock()
         started, finished = [], []
 
-        def tracked(buf, rows):
+        def tracked(rows):
             with lock:
                 started.append(rows.start)
             if failing == "consume" and rows.start == 2 * 512:
@@ -366,13 +341,13 @@ class TestPipelined:
 
         produce, consume, *_ = self.marking(10 * 512, 0.005, tracked)
 
-        def checked(buf, rows):
-            produce(buf, rows)
+        def checked(rows):
+            produce(rows)
             if failing == "produce" and rows.start == 3 * 512:
                 raise ArithmeticError("chunk 3")
 
         with pytest.raises(ArithmeticError, match="chunk"):
-            model._pipelined(checked, consume, 10 * 512, 1)
+            model._pipelined(checked, consume, 10 * 512)
         with lock:
             at_return = (sorted(started), sorted(finished))
         threading.Event().wait(0.1)
@@ -493,6 +468,16 @@ class TestGradientStats:
         work = grads.copy()
         stats = gradient_stats(work)
         assert np.array_equal(work, grads - stats.mean_grad)
+
+    def test_read_only_rows_are_copied_not_overwritten(self):
+        grads = np.random.default_rng(4).normal(size=(50, 4))
+        frozen = grads.copy()
+        frozen.setflags(write=False)
+        stats = gradient_stats(frozen)
+        want = gradient_stats(grads.copy())
+        assert np.array_equal(stats.mean_grad, want.mean_grad)
+        assert stats.variance_stat == want.variance_stat
+        assert np.array_equal(frozen, grads)
 
     def test_integer_rows_are_converted_not_overwritten(self):
         grads = np.array([[1, 2], [3, 5], [4, 4]])

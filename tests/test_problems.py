@@ -1,8 +1,12 @@
 import copy
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from adasamp import model, problems
 from adasamp.geometry import Intersection, NonNegativeOrthant, project
 from adasamp.model import batch_grads, draw_samples, stream_rng
 from adasamp.problems import (
@@ -198,12 +202,47 @@ class TestPortfolio:
             # the generator ends where the serial draw leaves it
             assert np.array_equal(rng.standard_normal(5), copy.deepcopy(ref).standard_normal(5))
 
+    def test_sampler_matches_reference_when_the_correlate_falls_behind(self, monkeypatch, portfolio):
+        # every correlate sleeps, so the draw runs far ahead of them and
+        # several run at once on the pool; all have returned with the sampler
+        problem, _ = portfolio
+        A, B = problem.params["A"], problem.params["B"]
+        n = 6000
+        want = A + block_correlate_reference(stream_rng(5, 0, n).standard_normal((n, 100)), B)
+        lock = threading.Lock()
+        started, finished = [], []
+        correlate = problems._correlate_chunk
+
+        def slow(u, B, A):
+            with lock:
+                started.append(u.shape[0])
+            threading.Event().wait(0.005)
+            correlate(u, B, A)
+            with lock:
+                finished.append(u.shape[0])
+
+        pool = ThreadPoolExecutor(3)
+        monkeypatch.setattr(model, "_pool", pool)
+        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        monkeypatch.setattr(problems, "_correlate_chunk", slow)
+        set_workers(monkeypatch, 4)
+        try:
+            got = problem.sampler(stream_rng(5, 0, n), n)
+            with lock:
+                at_return = (len(started), len(finished))
+            threading.Event().wait(0.05)
+            assert (len(started), len(finished)) == at_return == (12, 12)
+        finally:
+            pool.shutdown()
+        assert sum(finished) == n
+        assert np.array_equal(got, want)
+
     def test_correlate_matches_plain_product(self):
         # the sampler's consume step: the shifted product, in fixed blocks
         rng = np.random.default_rng(8)
         u = rng.standard_normal((1300, 100))
         B = rng.uniform(0.0, 0.1, size=(100, 100))
         A = rng.uniform(0.9, 1.2, size=100)
-        out = np.empty((1300, 100))
-        _correlate_chunk(u, B, A, out)
+        out = u.copy()
+        _correlate_chunk(out, B, A)
         np.testing.assert_allclose(out, A + u @ B.T, rtol=1e-13, atol=1e-15)

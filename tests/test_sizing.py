@@ -7,7 +7,7 @@ from adasamp.geometry import Hyperplane
 from adasamp.model import GradientStats, StochasticProblem
 from adasamp.problems import make_basic_example
 from adasamp.sizing import TestConfig, norm_test, sqp_norm_test
-from oracles import condition_diagnostic, full_space
+from oracles import condition_diagnostic, full_space, set_workers
 
 CFG = TestConfig(theta=0.5)
 
@@ -148,6 +148,19 @@ class TestSqpNormTest:
         frozen.setflags(write=False)
         assert sqp_norm_test(frozen, mean, CFG) == want
         assert np.array_equal(frozen, dirs)
+
+    @pytest.mark.parametrize("n", [4097, 12289])
+    def test_same_outcome_at_any_worker_count(self, monkeypatch, n):
+        # the deviation pass is split in row chunks across CPUs
+        dirs = np.random.default_rng(n).normal(size=(n, 6)) + 0.2
+        mean = dirs.mean(axis=0)
+        outcomes = []
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            work = dirs.copy()
+            outcomes.append(sqp_norm_test(work, mean, CFG))
+            assert np.array_equal(work, dirs - mean), workers
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 @settings(max_examples=80, deadline=None)
