@@ -34,6 +34,7 @@ from .model import (
     SampleSet,
     StochasticProblem,
     draw_samples,
+    fill_rows,
     sample_gradient,
     sample_objective,
 )

@@ -27,6 +27,7 @@ from .algorithms import (
     run_spgd_adaptive,
     run_sqp_adaptive,
 )
+from .model import STREAM_VERSION
 from .problems import BasicExample, PortfolioProblem
 from .records import compare_runs, write_csv
 from .sizing import TestConfig
@@ -166,6 +167,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     meta = {
         "version": __version__,
+        "stream_version": STREAM_VERSION,
         "config": asdict(cfg),
         "status": result.status,
         "problem_params": problem.params,

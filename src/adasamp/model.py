@@ -1,22 +1,24 @@
 """Stochastic problem abstraction, reproducible sampling, and sample-average
 objective/gradient evaluation.
 
-Random draws come from counter-based Philox streams keyed by
-(base_seed, stream tag, iteration). Each iteration therefore gets a fresh
-i.i.d. sample set that is independent of every previous set, and realization
-``i`` of a set is a deterministic function of (base_seed, iteration, i): a set
-of size ``m > n`` drawn from the same stream starts with exactly the same
-``n`` realizations (prefix stability), which is what makes runs reproducible
-and makes within-iteration sample augmentation an exact append.
+Sample rows come in keyed blocks of ``_STREAM_BLOCK_ROWS`` rows (stream
+version 2): block b of iteration k under base seed s is drawn by its own
+SFC64 generator, keyed by (s, STREAM_SAMPLES, k, b), and each block draws
+its rows in sequence. Each iteration therefore gets a fresh i.i.d. sample
+set that is independent of every previous set, and realization ``i`` of a
+set is a deterministic function of (s, k, i): a set of size ``m > n`` starts
+with exactly the same ``n`` realizations (prefix stability), the blocks can
+be drawn on any number of CPUs with the same bits, and within-iteration
+sample augmentation is an exact append. Problem parameters are drawn on the
+Philox stream keyed by (s, STREAM_PARAMS).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +27,10 @@ __all__ = [
     "StochasticProblem",
     "SampleSet",
     "GradientStats",
+    "Stream",
+    "STREAM_VERSION",
     "stream_rng",
+    "fill_rows",
     "draw_samples",
     "extend_samples",
     "batch_values",
@@ -35,9 +40,15 @@ __all__ = [
 ]
 
 # Stream tags keep sample draws and frozen problem-parameter draws on
-# disjoint Philox keys even when they share a base seed.
+# disjoint keys even when they share a base seed.
 STREAM_SAMPLES = 0
 STREAM_PARAMS = 1
+# The layout of the sample rows, recorded in every run's metadata:
+# 2 = keyed SFC64 blocks of _STREAM_BLOCK_ROWS rows.
+STREAM_VERSION = 2
+# Rows per keyed block of the sample stream, a multiple of 512 (see
+# ``fill_rows``). Keying a block costs about 21 us.
+_STREAM_BLOCK_ROWS = 2048
 
 # Rows per block of the blocked per-sample passes.
 _BLOCK_ROWS = 512
@@ -48,8 +59,6 @@ _BLOCK_ROWS = 512
 _PARALLEL_MIN_ROWS = 32768
 # Largest chunk of a parallel pass, in 512-row blocks (8192 rows).
 _CHUNK_BLOCKS = 16
-# Chunk of a pipelined pass, in 512-row blocks.
-_PIPE_CHUNK_BLOCKS = 2
 
 
 def stream_rng(base_seed: int, *stream: int) -> np.random.Generator:
@@ -64,9 +73,10 @@ def stream_rng(base_seed: int, *stream: int) -> np.random.Generator:
 class StochasticProblem:
     """Evaluator bundle for min F(x) = R[f(x; xi)].
 
-    ``sampler(rng, n)`` must return an (n, xi_dim) array and draw in a
-    prefix-stable way (one vectorized call, row i depending only on the
-    first i+1 blocks of the stream). ``value_many(x, xis)`` returns the (n,)
+    ``sampler(stream, n)`` returns the (n, xi_dim) rows of the ``Stream``
+    key it is given, from ``stream.start`` on; it draws them through
+    ``fill_rows``, which keeps row i a function of the key and i alone.
+    ``value_many(x, xis)`` returns the (n,)
     values f(x; xi_i) and ``grad_many(x, xis)`` the (n, dim) gradients, one
     row per realization; a single realization is the one-row block
     ``xi[None]``.
@@ -78,7 +88,7 @@ class StochasticProblem:
     """
 
     dim: int
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
+    sampler: Callable[["Stream", int], np.ndarray]
     value_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     known_optimum: Optional[np.ndarray] = None
@@ -86,15 +96,24 @@ class StochasticProblem:
 
 
 @dataclass(frozen=True)
+class Stream:
+    """Key of the sample rows of iteration ``iteration`` under ``seed``,
+    from row ``start`` on."""
+
+    seed: int
+    iteration: int
+    start: int = 0
+
+
+@dataclass(frozen=True)
 class SampleSet:
     """An ordered collection of realizations.
 
-    ``rng`` is the stream the set was drawn from, positioned after its last
-    row, so that ``extend_samples`` can append the rows that follow; None
-    for a set built by hand."""
+    ``stream`` is the key of its first row, so that ``extend_samples`` can
+    append the rows that follow; None for a set built by hand."""
 
     realizations: np.ndarray
-    rng: Optional[np.random.Generator] = field(default=None, repr=False, compare=False)
+    stream: Optional[Stream] = None
 
     def __len__(self) -> int:
         return self.realizations.shape[0]
@@ -112,8 +131,8 @@ class GradientStats:
     n: int
 
 
-def _sample(problem, rng: np.random.Generator, n: int) -> np.ndarray:
-    xis = np.asarray(problem.sampler(rng, n), dtype=float)
+def _sample(problem, stream: Stream, n: int) -> np.ndarray:
+    xis = np.asarray(problem.sampler(stream, n), dtype=float)
     if xis.ndim == 1:
         xis = xis[:, None]
     if xis.shape[0] != n:
@@ -125,22 +144,53 @@ def draw_samples(problem, n: int, iteration: int, base_seed: int) -> SampleSet:
     """Draw n i.i.d. realizations on the stream keyed by (base_seed, iteration)."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    rng = stream_rng(base_seed, STREAM_SAMPLES, iteration)
-    return SampleSet(_sample(problem, rng, n), rng)
+    if base_seed < 0:
+        raise ValueError("base_seed must be non-negative")
+    stream = Stream(int(base_seed), int(iteration))
+    return SampleSet(_sample(problem, stream, n), stream)
 
 
 def extend_samples(problem, sample_set: SampleSet, m: int) -> SampleSet:
     """The set grown to m realizations by drawing only the m - n rows that
     follow it on its stream. By prefix stability this equals a fresh draw of
-    m rows; the given set and its stream are left as they were."""
+    m rows; the given set is left as it was."""
     n = len(sample_set)
-    if sample_set.rng is None:
+    stream = sample_set.stream
+    if stream is None:
         raise ValueError("the sample set has no stream to extend")
     if m <= n:
         raise ValueError(f"cannot extend a set of {n} realizations to {m}")
-    rng = copy.deepcopy(sample_set.rng)
-    tail = _sample(problem, rng, m - n)
-    return SampleSet(np.concatenate([sample_set.realizations, tail]), rng)
+    tail = _sample(problem, Stream(stream.seed, stream.iteration, stream.start + n), m - n)
+    return SampleSet(np.concatenate([sample_set.realizations, tail]), stream)
+
+
+def fill_rows(
+    stream: Stream, n: int, d: int, fill: Callable[[np.random.Generator, np.ndarray], None]
+) -> np.ndarray:
+    """Rows ``stream.start`` .. ``stream.start + n - 1`` of the stream, shape (n, d).
+
+    Block b, rows b * ``_STREAM_BLOCK_ROWS`` on, comes from its own SFC64
+    generator, keyed by (seed, STREAM_SAMPLES, iteration, b), and
+    ``fill(generator, out)`` writes the block's rows into ``out`` in
+    sequence. The last block is truncated, so ``fill`` must write the same
+    leading rows into a shorter ``out``: one vectorized draw into ``out``,
+    then row-wise numpy work. A block that starts before ``stream.start`` is
+    drawn from its first row and its head dropped. Blocks are filled under
+    ``_in_parallel``, from two blocks on, so the bits do not depend on the
+    CPU count, and ``fill`` follows its rule: numpy work on ``out`` only.
+    """
+    first = stream.start - stream.start % _STREAM_BLOCK_ROWS
+    out = np.empty((stream.start + n - first, d))
+
+    def chunk(rows):
+        for lo in range(rows.start, rows.stop, _STREAM_BLOCK_ROWS):
+            key = (STREAM_SAMPLES, stream.iteration, (first + lo) // _STREAM_BLOCK_ROWS)
+            seq = np.random.SeedSequence(entropy=stream.seed, spawn_key=key)
+            block = out[lo : min(lo + _STREAM_BLOCK_ROWS, rows.stop)]
+            fill(np.random.Generator(np.random.SFC64(seq)), block)
+
+    _in_parallel(chunk, out.shape[0], _STREAM_BLOCK_ROWS)
+    return out[stream.start - first :]
 
 
 def _row_blocks(stop: int, start: int = 0, size: int = _BLOCK_ROWS):
@@ -207,26 +257,30 @@ def _executor():
         return _pool
 
 
-def _in_parallel(fn: Callable[[slice], None], n: int) -> None:
+def _in_parallel(fn: Callable[[slice], None], n: int, step: Optional[int] = None) -> None:
     """Call ``fn(rows)`` on row chunks that cover rows 0..n-1 once.
 
     Each chunk is a run of whole ``_row_blocks(n)`` blocks, so a chunk's
     blocks are the pass's blocks and a blocked BLAS call sees the rows it
     sees in a serial pass. The calling thread and one pool thread per
     further CPU of the process take chunks in turn until none is left, so a
-    CPU that another process slows takes fewer; a pass below
-    ``_PARALLEL_MIN_ROWS`` rows runs whole on the calling thread. ``fn``
-    runs on pool threads, so it may only do numpy work on rows it owns: in
-    particular it must not call a problem's evaluators or any traced
-    ``adasamp`` function.
+    CPU that another process slows takes fewer. By default a pass below
+    ``_PARALLEL_MIN_ROWS`` rows runs whole on the calling thread; with
+    ``step`` (a multiple of 512), chunks are ``step`` rows and a pass of two
+    chunks splits. ``fn`` runs on pool threads, so it may only do numpy work
+    on rows it owns: in particular it must not call a problem's evaluators
+    or any traced ``adasamp`` function.
     """
     workers = _workers()
-    if n < _PARALLEL_MIN_ROWS or workers < 2:
+    if step is None:
+        if n < _PARALLEL_MIN_ROWS:
+            workers = 1
+        # at least two chunks per CPU, of at most _CHUNK_BLOCKS blocks
+        step = max(1, min(_CHUNK_BLOCKS, n // _BLOCK_ROWS // (2 * workers))) * _BLOCK_ROWS
+    if workers < 2 or n <= step + 1:  # one chunk
         fn(slice(0, n))
         return
-    # at least two chunks per CPU, of at most _CHUNK_BLOCKS blocks
-    step = max(1, min(_CHUNK_BLOCKS, n // _BLOCK_ROWS // (2 * workers)))
-    chunks = iter(list(_row_blocks(n, 0, step * _BLOCK_ROWS)))
+    chunks = iter(list(_row_blocks(n, 0, step)))
     lock = threading.Lock()
 
     def drain():
@@ -244,70 +298,6 @@ def _in_parallel(fn: Callable[[slice], None], n: int) -> None:
     finally:
         for future in futures:
             future.result()
-
-
-def _pipelined(produce: Callable[[slice], None], consume: Callable[[slice], None], n: int) -> None:
-    """Call ``produce(rows)`` and then ``consume(rows)`` on row chunks that
-    cover rows 0..n-1 once; both work in place on rows of an array the
-    caller holds.
-
-    The calling thread produces the chunks in row order, so a serial stream
-    stays serial; pool threads consume each chunk while the calling thread
-    produces the next ones. Chunks are ``_PIPE_CHUNK_BLOCKS`` whole 512-row
-    blocks (the last one may end in a partial block). The last chunk is
-    consumed on the calling thread, which has nothing left to produce, and
-    so is every chunk when there are fewer than two chunks or one CPU; all
-    consumes have returned when this returns, on an error too. ``consume``
-    follows the rule of ``_in_parallel``: numpy work on its own rows only,
-    never a problem's evaluators or a traced ``adasamp`` function.
-    """
-    step = _PIPE_CHUNK_BLOCKS * _BLOCK_ROWS
-    chunks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
-    pool = _executor() if len(chunks) > 1 and _workers() > 1 else None
-    pending = []
-    try:
-        for rows in chunks:
-            produce(rows)
-            if pool is None or rows.stop == n:
-                consume(rows)
-            else:
-                pending.append(pool.submit(consume, rows))
-    finally:
-        # on an error too: no consume may still run once this returns
-        for future in pending:
-            future.exception()
-    for future in pending:
-        future.result()
-
-
-def _uniform_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """``rng.random((n, d))``, drawn in row chunks on several threads, with
-    the same bits and the generator left where the serial draw leaves it.
-
-    Philox is counter-based and a uniform double takes one 64-bit word, four
-    per counter step, so the chunk starting at row r reads the stream from
-    counter step r * d / 4 on (r is a multiple of 512). The split needs a
-    Philox generator with no buffered words; any other draws serially.
-    """
-    bitgen = rng.bit_generator
-    if n < _PARALLEL_MIN_ROWS or type(bitgen) is not np.random.Philox:
-        return rng.random((n, d))
-    state = bitgen.state
-    if state["buffer_pos"] != 4 or state["has_uint32"] != 0:
-        return rng.random((n, d))
-    out = np.empty((n, d))
-    last = []
-
-    def fill(rows):
-        g = np.random.Philox(counter=state["state"]["counter"], key=state["state"]["key"])
-        g.advance(rows.start * d // 4)
-        np.random.Generator(g).random(out=out[rows])
-        if rows.stop == n:
-            last.append(g)
-
-    _in_parallel(fill, n)
-    bitgen.state = last[0].state
-    return out
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -26,9 +26,8 @@ from .model import (
     _block_matvec,
     _in_parallel,
     _matvec,
-    _pipelined,
     _row_blocks,
-    _uniform_rows,
+    fill_rows,
     stream_rng,
 )
 
@@ -111,7 +110,9 @@ class BasicExample:
 
         problem = StochasticProblem(
             dim=BASIC_DIM,
-            sampler=lambda rng, n: _uniform_rows(rng, n, BASIC_DIM),
+            sampler=lambda stream, n: fill_rows(
+                stream, n, BASIC_DIM, lambda g, out: g.random(out=out)
+            ),
             value_many=value_many,
             grad_many=grad_many,
             known_optimum=basic_optimum(a, b),
@@ -126,31 +127,31 @@ def _max_return_infeasible(A: np.ndarray) -> bool:
     return float(np.max(A)) < RETURN_THRESHOLD
 
 
-def _correlate_chunk(u: np.ndarray, B: np.ndarray, A: np.ndarray) -> None:
-    """u[:] = A + u @ B.T in place, computed in fixed-shape 512-row blocks,
-    where the rows of u are a run of whole blocks of the draw (the last one
-    may be partial).
+def _correlate_chunk(u: np.ndarray, B: np.ndarray, A: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = A + u @ B.T, computed in fixed-shape 512-row blocks, where u
+    holds the normals of one keyed block of the draw, from its first row (a
+    truncated block ends in a partial 512-row block), and out does not
+    overlap u.
 
     BLAS accumulation order depends on operand shapes, so a plain matmul
     makes row i of the product vary (at the last ulp) with the number of
     rows drawn; fixed-shape blocks keep realization i a function of row i
     alone, which the sampling contract (prefix stability) requires. The full
     blocks go through one stacked matmul, which makes the same per-block
-    BLAS calls as a loop over them (numpy buffers the input that overlaps
-    the output), and a partial block, even of one row, is zero-padded to the
-    full block shape.
+    BLAS calls as a loop over them, and a partial block, even of one row, is
+    zero-padded to the full block shape.
     """
     m, d = u.shape
     k = m // _BLOCK_ROWS
     full = k * _BLOCK_ROWS
     if k:
-        blocks = u[:full].reshape(k, _BLOCK_ROWS, d)
-        np.matmul(blocks, B.T, out=blocks)
+        shape = (k, _BLOCK_ROWS, d)
+        np.matmul(u[:full].reshape(shape), B.T, out=out[:full].reshape(shape))
     if full < m:
         padded = np.zeros((_BLOCK_ROWS, d))
         padded[: m - full] = u[full:]
-        u[full:] = (padded @ B.T)[: m - full]
-    np.add(u, A, out=u)
+        out[full:] = (padded @ B.T)[: m - full]
+    np.add(out, A, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +161,10 @@ class PortfolioProblem:
     and B ~ Unif(0,0.1) entrywise are frozen at generation time; ``redraws``
     counts how many seeds were skipped before the feasibility witness held.
 
-    The sampler draws the normals u serially, in stream order, on the
-    calling thread, straight into the rows of its output; each chunk of
-    whole 512-row blocks is correlated and shifted in place
-    (``_correlate_chunk``) on a pool thread while the next chunk is drawn,
-    so realization i is the same at any CPU count."""
+    The sampler draws the normals u of each keyed block of the stream
+    (``fill_rows``) and writes their correlated and shifted rows into the
+    block's output rows (``_correlate_chunk``), so realization i is the
+    same at any CPU count."""
 
     A: np.ndarray
     B: np.ndarray
@@ -187,18 +187,14 @@ class PortfolioProblem:
     def build(self) -> Tuple[StochasticProblem, ConstraintSet]:
         A, B = self.A, self.B
 
-        def sampler(rng, n):
-            xis = np.empty((n, PORTFOLIO_DIM))
-            _pipelined(
-                lambda rows: rng.standard_normal(out=xis[rows]),
-                lambda rows: _correlate_chunk(xis[rows], B, A),
-                n,
-            )
-            return xis
+        def fill(g, out):
+            # a separate array of normals: a product written over its own
+            # input makes numpy copy that input first
+            _correlate_chunk(g.standard_normal(out.shape), B, A, out)
 
         problem = StochasticProblem(
             dim=PORTFOLIO_DIM,
-            sampler=sampler,
+            sampler=lambda stream, n: fill_rows(stream, n, PORTFOLIO_DIM, fill),
             # negation is exact: the same bits as -(xis @ x) at one thread
             value_many=lambda x, xis: _matvec(xis, -x),
             grad_many=lambda x, xis: -xis,

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .model import StochasticProblem, batch_grads, batch_values
+from .model import StochasticProblem, Stream, batch_grads, batch_values
 
 __all__ = [
     "ExtendedProblem",
@@ -159,8 +159,8 @@ class ExtendedProblem:
         self.epsilon = float(epsilon)
         self.dim = base.dim + 1
 
-    def sampler(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.base.sampler(rng, n)
+    def sampler(self, stream: Stream, n: int) -> np.ndarray:
+        return self.base.sampler(stream, n)
 
     def _split(self, z):
         z = np.asarray(z, dtype=float)

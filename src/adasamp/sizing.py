@@ -31,8 +31,8 @@ class TestConfig:
     max_sample_size: int = 10**6
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if self.theta <= 0 or self.theta**2 == 0:
+            raise ValueError("theta must be positive, with a square that does not underflow to 0")
         if self.max_sample_size < 2:
             raise ValueError("max_sample_size must be >= 2 (the variance test needs two samples)")
 

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own algorithms: projections are
 verified against an exhaustive active-set QP enumeration, SQP steps against a
 dense KKT linear system, and gradients against central finite differences.
-The box, a leaf set only the tests use, is defined here too, and so is a
-Monte-Carlo check of the moments the sample-size theory controls, and the
-setting of the worker count under which the parallel passes run.
+The box, a leaf set only the tests use, is defined here too, and so are a
+Monte-Carlo check of the moments the sample-size theory controls, the
+setting of the worker count under which the parallel passes run, and the
+keyed sample stream written out block by block.
 """
 
 import itertools
@@ -49,11 +50,23 @@ class Box(ConstraintSet):
 
 def set_workers(monkeypatch, workers):
     """Run the parallel passes as on ``workers`` CPUs. Passes split from 4096
-    rows on and pipelined passes take 512-row chunks, so that small sizes
-    cover the split."""
+    rows on, so that small sizes cover the split (the keyed draw splits from
+    two blocks on anyway)."""
     monkeypatch.setattr(model, "_workers", lambda: workers)
     monkeypatch.setattr(model, "_PARALLEL_MIN_ROWS", 4096)
-    monkeypatch.setattr(model, "_PIPE_CHUNK_BLOCKS", 1)
+
+
+def keyed_rows(seed, iteration, n, draw):
+    """The first n sample rows of iteration ``iteration`` under ``seed``,
+    written out: block b holds ``draw(generator, rows)`` of the SFC64
+    generator keyed by (seed, 0, iteration, b), the blocks have
+    ``model._STREAM_BLOCK_ROWS`` rows, and the last one is truncated."""
+    size = model._STREAM_BLOCK_ROWS
+    blocks = []
+    for b, start in enumerate(range(0, n, size)):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, iteration, b))
+        blocks.append(draw(np.random.Generator(np.random.SFC64(seq)), min(size, n - start)))
+    return np.concatenate(blocks)
 
 
 def full_space(dim):

@@ -28,6 +28,7 @@ from adasamp.model import (
     batch_grads,
     batch_values,
     draw_samples,
+    fill_rows,
     sample_gradient,
 )
 from adasamp.problems import make_basic_example, make_portfolio
@@ -279,7 +280,9 @@ def test_criterion_07_sqp_step():
     problem_dim = 5
     problem = StochasticProblem(
         dim=problem_dim,
-        sampler=lambda g, n: c + 0.05 * g.standard_normal((n, problem_dim)),
+        sampler=lambda s, n: fill_rows(
+            s, n, problem_dim, lambda g, out: np.add(c, 0.05 * g.standard_normal(out.shape), out=out)
+        ),
         value_many=lambda x, xis: -(xis @ x),
         grad_many=lambda x, xis: -xis,
     )

@@ -16,7 +16,7 @@ from adasamp.algorithms import (
     sqp_directions,
 )
 from adasamp.geometry import NonNegativeOrthant, project
-from adasamp.model import StochasticProblem, draw_samples, sample_gradient
+from adasamp.model import StochasticProblem, draw_samples, fill_rows, sample_gradient
 from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.risk import ExtendedProblem
 from adasamp.sizing import TestConfig
@@ -47,7 +47,7 @@ def quadratic_deterministic(c):
     c = np.asarray(c, dtype=float)
     return rowwise_problem(
         c.size,
-        lambda rng, n: rng.random((n, 1)),
+        lambda s, n: fill_rows(s, n, 1, lambda g, out: g.random(out=out)),
         lambda x, xi: 0.5 * float((x - c) @ (x - c)),
         lambda x, xi: np.asarray(x - c, dtype=float),
     )
@@ -58,7 +58,9 @@ def noisy_linear(c, spread):
     c = np.asarray(c, dtype=float)
     return StochasticProblem(
         dim=c.size,
-        sampler=lambda rng, n: c + spread * rng.standard_normal((n, c.size)),
+        sampler=lambda s, n: fill_rows(
+            s, n, c.size, lambda g, out: np.add(c, spread * g.standard_normal(out.shape), out=out)
+        ),
         value_many=lambda x, xis: -(xis @ x),
         grad_many=lambda x, xis: -xis,
     )
@@ -68,7 +70,7 @@ def linear_returning(grad_many):
     """f(x; xi) = <x, xi> with grad_many supplied by the caller."""
     return StochasticProblem(
         dim=3,
-        sampler=lambda rng, n: 0.5 + rng.random((n, 3)),
+        sampler=lambda s, n: fill_rows(s, n, 3, lambda g, out: np.add(0.5, g.random(out.shape), out=out)),
         value_many=lambda x, xis: xis @ x,
         grad_many=grad_many,
     )
@@ -323,7 +325,7 @@ class TestRunNestedQuantile:
         x0 = np.array([1.0, -2.0])
         problem = rowwise_problem(
             2,
-            lambda rng, n: rng.random((n, 1)),
+            lambda s, n: fill_rows(s, n, 1, lambda g, out: g.random(out=out)),
             lambda x, xi: 0.5 * float(x @ x) + 3.0,
             lambda x, xi: np.asarray(x, dtype=float),
         )

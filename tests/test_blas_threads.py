@@ -2,8 +2,8 @@
 are blocked products, so their bits do not depend on the BLAS thread count.
 One large call is split across threads, and the rows at the split change in
 the last bit; the OpenBLAS thread count is read once at start-up, hence one
-subprocess per setting. The sampler's blocks are correlated on pool threads
-while the normals are drawn, so its digest also covers that hand-off."""
+subprocess per setting. The sampler's keyed blocks are drawn and correlated
+on pool threads, so its digest also covers that split."""
 
 import json
 import os
@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from adasamp.algorithms import sqp_directions
-from adasamp.model import draw_samples, stream_rng
+from adasamp.model import _STREAM_BLOCK_ROWS, draw_samples
 from adasamp.problems import make_portfolio
 
 def digest(a):
@@ -41,7 +41,10 @@ out = {}
 for n in json.loads(sys.argv[1]):
     xis = draw_samples(problem, n, 3, 0).realizations
     u = np.zeros(((n + 511) // 512 * 512, 100))  # zero-padded to whole blocks
-    u[:n] = stream_rng(0, 0, 3).standard_normal((n, 100))
+    for b, start in enumerate(range(0, n, _STREAM_BLOCK_ROWS)):
+        seq = np.random.SeedSequence(entropy=0, spawn_key=(0, 3, b))
+        rows = min(_STREAM_BLOCK_ROWS, n - start)
+        u[start : start + rows] = np.random.Generator(np.random.SFC64(seq)).standard_normal((rows, 100))
     grads = -xis
     single = (G_val - alpha * (grads @ grad_G)) / (alpha * g_sq)
     out[n] = {

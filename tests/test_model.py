@@ -14,18 +14,22 @@ from adasamp.model import (
     StochasticProblem,
     _matvec,
     _row_blocks,
-    _uniform_rows,
+    Stream,
     batch_grads,
     draw_samples,
     extend_samples,
+    fill_rows,
     gradient_stats,
     sample_gradient,
     sample_objective,
-    stream_rng,
 )
 from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.sizing import TestConfig
-from oracles import central_diff, rel_err, rowwise_problem, set_workers
+from oracles import central_diff, keyed_rows, rel_err, rowwise_problem, set_workers
+
+
+# rows per keyed block of the sample stream
+BLOCK = model._STREAM_BLOCK_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -67,20 +71,70 @@ class TestDrawSamples:
         assert np.all(np.abs(xis.mean(axis=0) - 0.5) <= 3.0 * sigma / np.sqrt(n))
 
 
+class TestKeyedStream:
+    """Block b of iteration k comes from the generator keyed by
+    (seed, STREAM_SAMPLES, k, b), whatever the draw's size or CPU count."""
+
+    @pytest.mark.parametrize("make", [make_basic_example, make_portfolio])
+    def test_same_bits_at_one_two_and_three_workers(self, monkeypatch, make):
+        sampler = make(3)[0].sampler
+        sizes = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 5 * BLOCK + 700)
+        set_workers(monkeypatch, 1)
+        serial = [sampler(Stream(2, 6), n) for n in sizes]
+        for workers in (2, 3):
+            set_workers(monkeypatch, workers)
+            for n, want in zip(sizes, serial):
+                assert np.array_equal(sampler(Stream(2, 6), n), want), (workers, n)
+
+    @pytest.mark.parametrize("make", [make_basic_example, make_portfolio])
+    def test_prefix_stability_across_block_edges(self, make):
+        sampler = make(3)[0].sampler
+        big = sampler(Stream(4, 1), 3 * BLOCK)
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+            assert np.array_equal(sampler(Stream(4, 1), n), big[:n]), n
+
+    def test_basic_rows_are_the_keyed_uniform_blocks(self, basic):
+        problem, _ = basic
+        n = 2 * BLOCK + 5
+        want = keyed_rows(9, 2, n, lambda g, rows: g.random((rows, 20)))
+        assert np.array_equal(draw_samples(problem, n, 2, 9).realizations, want)
+
+    def test_a_stream_start_inside_a_block(self, basic):
+        problem, _ = basic
+        full = problem.sampler(Stream(9, 2), 3 * BLOCK)
+        for start, n in ((1, 5), (BLOCK - 1, 2), (BLOCK + 7, BLOCK), (2 * BLOCK, 3)):
+            got = problem.sampler(Stream(9, 2, start), n)
+            assert np.array_equal(got, full[start : start + n]), (start, n)
+
+    def test_keys_are_disjoint_across_iterations_blocks_and_parameters(self):
+        # the first row of blocks 0-2 of iterations 0-3, and the first row
+        # of the parameter stream: all different
+        def uniform(g, out):
+            g.random(out=out)
+
+        firsts = [fill_rows(Stream(5, k), 3 * BLOCK, 4, uniform)[::BLOCK] for k in range(4)]
+        params = model.stream_rng(5, model.STREAM_PARAMS, 0).random((1, 4))
+        rows = np.concatenate(firsts + [params])
+        assert len({row.tobytes() for row in rows}) == rows.shape[0] == 13
+
+
 class TestExtendSamples:
     # drawing n rows and then m more from one stream equals a fresh draw of
-    # n + m rows, on both packaged samplers
+    # n + m rows, on both packaged samplers; from the middle of a keyed
+    # block the append redraws that block's head from its key
     @pytest.mark.parametrize("make", [make_basic_example, make_portfolio])
     @pytest.mark.parametrize(
-        "n, m", [(10, 3), (511, 2), (512, 513), (1000, 4001), (6003, 20003), (50000, 77777)]
+        "n, m",
+        [(10, 3), (511, 2), (512, 513), (1000, 4001), (6003, 20003), (50000, 77777),
+         (BLOCK - 1, 1), (BLOCK - 1, 2), (BLOCK, 1), (BLOCK + 100, 50), (BLOCK + 100, 2 * BLOCK)],
     )
     def test_append_equals_fresh_draw(self, make, n, m):
         problem, _ = make(3)
         grown = extend_samples(problem, draw_samples(problem, n, 4, 11), n + m)
         fresh = draw_samples(problem, n + m, 4, 11)
         assert np.array_equal(grown.realizations, fresh.realizations)
-        # the grown set's stream is where the fresh draw's is
-        assert np.array_equal(grown.rng.random(3), fresh.rng.random(3))
+        # the grown set keeps the key of its first row, as the fresh draw
+        assert grown.stream == fresh.stream == Stream(11, 4)
 
     def test_leaves_the_given_set_and_its_stream_alone(self, basic):
         problem, _ = basic
@@ -97,36 +151,6 @@ class TestExtendSamples:
             extend_samples(problem, SampleSet(np.zeros((4, 20))), 8)
         with pytest.raises(ValueError, match="cannot extend"):
             extend_samples(problem, draw_samples(problem, 4, 0, 0), 4)
-
-
-class TestUniformRows:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 511, 512, 4095, 4096, 4097, 200001])
-    def test_equals_the_serial_draw_and_leaves_the_stream_there(self, monkeypatch, n, workers):
-        set_workers(monkeypatch, workers)
-        rng, ref = stream_rng(0, 0, n), stream_rng(0, 0, n)
-        assert np.array_equal(_uniform_rows(rng, n, 20), ref.random((n, 20)))
-        assert np.array_equal(rng.random(7), ref.random(7))
-
-    def test_a_row_width_that_ends_inside_a_counter_step(self, monkeypatch):
-        # 4097 * 3 words: the serial draw leaves three words of its last
-        # counter step unread, and so must the split one
-        set_workers(monkeypatch, 2)
-        rng, ref = stream_rng(1, 0, 0), stream_rng(1, 0, 0)
-        assert np.array_equal(_uniform_rows(rng, 4097, 3), ref.random((4097, 3)))
-        assert np.array_equal(rng.random(5), ref.random(5))
-
-    @pytest.mark.parametrize("case", ["buffered word", "pcg64"])
-    def test_falls_back_to_the_serial_draw(self, monkeypatch, case):
-        set_workers(monkeypatch, 2)
-        if case == "buffered word":
-            rng, ref = stream_rng(2, 0, 0), stream_rng(2, 0, 0)
-            rng.random(1)
-            ref.random(1)
-        else:
-            rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        assert np.array_equal(_uniform_rows(rng, 9000, 20), ref.random((9000, 20)))
-        assert np.array_equal(rng.random(7), ref.random(7))
 
 
 # 4097 = 8 * 512 + 1 and 12289 = 24 * 512 + 1 end in a one-row tail, which
@@ -211,9 +235,9 @@ class TestRowParallelPasses:
 
                 model._in_parallel(mark, n)
                 assert np.all(seen == 1), n
-            rng, ref = stream_rng(3, 0, 0), stream_rng(3, 0, 0)
-            assert np.array_equal(_uniform_rows(rng, 100001, 20), ref.random((100001, 20)))
-            assert np.array_equal(rng.random(3), ref.random(3))
+            want = keyed_rows(3, 0, 100001, lambda g, rows: g.random((rows, 20)))
+            got = fill_rows(Stream(3, 0), 100001, 20, lambda g, out: g.random(out=out))
+            assert np.array_equal(got, want)
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown()
@@ -255,105 +279,14 @@ class TestRowParallelPasses:
         assert set(threads) == {threading.main_thread()}
         assert submitted  # the passes did split
 
-        # the portfolio sampler's correlate runs on pool threads
+        # the portfolio's keyed blocks are drawn and correlated on pool threads
         threads.clear()
         submitted.clear()
         problem, cset = make_portfolio(0)
-        cfg = dataclasses.replace(cfg, initial_sample_size=3000, max_iters=2)
+        cfg = dataclasses.replace(cfg, initial_sample_size=2 * BLOCK + 1, max_iters=2)
         run_cvar_extended(recorded(problem), cset, 0.9, 0.1, cfg, np.full(100, 0.01))
         assert threads and set(threads) == {threading.main_thread()}
         assert submitted
-
-
-class TestPipelined:
-    """The producer/consumer helper under the portfolio sampler."""
-
-    @staticmethod
-    def marking(n, produce_s=0.0, consume_extra=None):
-        # produce writes each row's index into its rows of a shared array
-        # (taking produce_s seconds); consume copies them out and counts the
-        # rows it saw
-        filled = np.full(n, -1.0)
-        out = np.full(n, -1.0)
-        seen = np.zeros(n, dtype=np.int64)
-        order = []
-
-        def produce(rows):
-            order.append(rows.start)
-            if produce_s:
-                threading.Event().wait(produce_s)
-            filled[rows] = np.arange(rows.start, rows.stop)
-
-        def consume(rows):
-            if consume_extra is not None:
-                consume_extra(rows)
-            out[rows] = filled[rows]
-            seen[rows] += 1
-
-        return produce, consume, out, seen, order
-
-    @pytest.fixture
-    def pool(self, monkeypatch):
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(7)
-        monkeypatch.setattr(model, "_pool", pool)
-        monkeypatch.setattr(model, "_pool_pid", os.getpid())
-        yield pool
-        pool.shutdown()
-
-    def test_every_chunk_once_in_order_with_more_threads_than_cpus(self, monkeypatch, pool):
-        # eight threads while the interpreter switches threads as often as
-        # it can: a chunk lost or consumed twice shows in the counts, and a
-        # consume that ran before its produce shows in the values
-        set_workers(monkeypatch, 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for n in (1, 511, 512, 513, 1024, 4097, 20000):
-                produce, consume, out, seen, order = self.marking(n)
-                model._pipelined(produce, consume, n)
-                assert np.all(seen == 1), n
-                assert np.array_equal(out, np.arange(n)), n
-                assert order == list(range(0, n, 512)), n
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("failing", ["produce", "consume"])
-    def test_an_error_propagates_once_no_consume_can_run(self, monkeypatch, pool, failing):
-        # an error surfaces while a slow consume is in flight: it may
-        # propagate only once that consume has returned, and no consume may
-        # start after it
-        set_workers(monkeypatch, 4)
-        slow_chunk = 2 * 512 if failing == "produce" else 3 * 512
-        lock = threading.Lock()
-        started, finished = [], []
-
-        def tracked(rows):
-            with lock:
-                started.append(rows.start)
-            if failing == "consume" and rows.start == 2 * 512:
-                threading.Event().wait(0.01)
-                raise ArithmeticError("chunk 2")
-            threading.Event().wait(0.03 if rows.start == slow_chunk else 0.0)
-            with lock:
-                finished.append(rows.start)
-
-        produce, consume, *_ = self.marking(10 * 512, 0.005, tracked)
-
-        def checked(rows):
-            produce(rows)
-            if failing == "produce" and rows.start == 3 * 512:
-                raise ArithmeticError("chunk 3")
-
-        with pytest.raises(ArithmeticError, match="chunk"):
-            model._pipelined(checked, consume, 10 * 512)
-        with lock:
-            at_return = (sorted(started), sorted(finished))
-        threading.Event().wait(0.1)
-        assert (sorted(started), sorted(finished)) == at_return
-        assert set(started) - {2 * 512 if failing == "consume" else -1} == set(finished)
-        assert slow_chunk in finished
 
 
 class TestSampleObjective:
@@ -393,7 +326,7 @@ class TestSampleGradient:
     def test_identical_samples_have_zero_variance(self):
         problem = rowwise_problem(
             3,
-            lambda rng, n: np.ones((n, 3)),
+            lambda stream, n: np.ones((n, 3)),
             lambda x, xi: float(x @ xi),
             lambda x, xi: np.asarray(xi, dtype=float),
         )
@@ -513,7 +446,7 @@ class TestGradientOwnership:
         xis = np.random.default_rng(0).random((6, 4))
         problem = StochasticProblem(
             dim=3,
-            sampler=lambda rng, n: rng.random((n, 4)),
+            sampler=lambda s, n: fill_rows(s, n, 4, lambda g, out: g.random(out=out)),
             value_many=lambda x, xis: xis[:, 1:] @ x,
             grad_many=lambda x, xis: xis[:, 1:],
         )
@@ -526,7 +459,7 @@ class TestGradientOwnership:
         # broadcast of one column
         problem = StochasticProblem(
             dim=2,
-            sampler=lambda rng, n: rng.random((n, 1)),
+            sampler=lambda s, n: fill_rows(s, n, 1, lambda g, out: g.random(out=out)),
             value_many=lambda x, xis: 2.0 * xis[:, 0] * (x[0] + x[1]),
             grad_many=lambda x, xis: np.broadcast_to(2.0 * xis, (xis.shape[0], 2)),
         )

@@ -1,14 +1,8 @@
-import copy
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
-from adasamp import model, problems
 from adasamp.geometry import Intersection, NonNegativeOrthant, project
-from adasamp.model import batch_grads, draw_samples, stream_rng
+from adasamp.model import Stream, batch_grads, draw_samples
 from adasamp.problems import (
     BasicExample,
     PortfolioProblem,
@@ -18,7 +12,7 @@ from adasamp.problems import (
     make_basic_example,
     make_portfolio,
 )
-from oracles import central_diff, rel_err, set_workers
+from oracles import central_diff, keyed_rows, rel_err, set_workers
 
 
 def block_correlate_reference(u, B, block=512):
@@ -185,64 +179,29 @@ class TestPortfolio:
             big = draw_samples(problem, n_big, 3, 42)
             np.testing.assert_array_equal(big.realizations[:n_small], small.realizations)
 
-    # with 512-row chunks, 513, 1025, 1537, 2049 and 4097 end in a one-row
-    # chunk, a zero-padded one-row block
+    # 513, 1025, 1537, 2049 and 4097 end in a one-row 512-row block, which
+    # is zero-padded; 2049 and 4097 also end in a one-row keyed block
     @pytest.mark.parametrize(
         "n", [1, 511, 512, 513, 1023, 1024, 1025, 1500, 1537, 2049, 4097, 20003]
     )
     def test_sampler_matches_reference_block_product_exactly(self, monkeypatch, portfolio, n):
+        # each keyed block's normals, correlated per 512-row block of that
+        # keyed block (a truncated block ends in a zero-padded one)
         problem, _ = portfolio
         A, B = problem.params["A"], problem.params["B"]
-        ref = stream_rng(5, 0, n)
-        want = A + block_correlate_reference(ref.standard_normal((n, 100)), B)
+        want = keyed_rows(
+            5, n, n, lambda g, rows: A + block_correlate_reference(g.standard_normal((rows, 100)), B)
+        )
         for workers in (1, 2, 3):
             set_workers(monkeypatch, workers)
-            rng = stream_rng(5, 0, n)
-            assert np.array_equal(problem.sampler(rng, n), want), workers
-            # the generator ends where the serial draw leaves it
-            assert np.array_equal(rng.standard_normal(5), copy.deepcopy(ref).standard_normal(5))
-
-    def test_sampler_matches_reference_when_the_correlate_falls_behind(self, monkeypatch, portfolio):
-        # every correlate sleeps, so the draw runs far ahead of them and
-        # several run at once on the pool; all have returned with the sampler
-        problem, _ = portfolio
-        A, B = problem.params["A"], problem.params["B"]
-        n = 6000
-        want = A + block_correlate_reference(stream_rng(5, 0, n).standard_normal((n, 100)), B)
-        lock = threading.Lock()
-        started, finished = [], []
-        correlate = problems._correlate_chunk
-
-        def slow(u, B, A):
-            with lock:
-                started.append(u.shape[0])
-            threading.Event().wait(0.005)
-            correlate(u, B, A)
-            with lock:
-                finished.append(u.shape[0])
-
-        pool = ThreadPoolExecutor(3)
-        monkeypatch.setattr(model, "_pool", pool)
-        monkeypatch.setattr(model, "_pool_pid", os.getpid())
-        monkeypatch.setattr(problems, "_correlate_chunk", slow)
-        set_workers(monkeypatch, 4)
-        try:
-            got = problem.sampler(stream_rng(5, 0, n), n)
-            with lock:
-                at_return = (len(started), len(finished))
-            threading.Event().wait(0.05)
-            assert (len(started), len(finished)) == at_return == (12, 12)
-        finally:
-            pool.shutdown()
-        assert sum(finished) == n
-        assert np.array_equal(got, want)
+            assert np.array_equal(problem.sampler(Stream(5, n), n), want), workers
 
     def test_correlate_matches_plain_product(self):
-        # the sampler's consume step: the shifted product, in fixed blocks
+        # the sampler's correlate step: the shifted product, in fixed blocks
         rng = np.random.default_rng(8)
         u = rng.standard_normal((1300, 100))
         B = rng.uniform(0.0, 0.1, size=(100, 100))
         A = rng.uniform(0.9, 1.2, size=100)
-        out = u.copy()
-        _correlate_chunk(out, B, A)
+        out = np.empty_like(u)
+        _correlate_chunk(u, B, A, out)
         np.testing.assert_allclose(out, A + u @ B.T, rtol=1e-13, atol=1e-15)

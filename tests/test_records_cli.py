@@ -75,6 +75,7 @@ class TestRunExperiment:
         assert meta["config"]["problem"] == "basic"
         assert len(meta["problem_params"]["a"]) == 20
         assert len(meta["final_x"]) == 20
+        assert meta["stream_version"] == 2
 
     def test_fixed_mode_constant_sizes_and_empty_rho(self, tmp_path):
         cfg = tiny_config(tmp_path, algorithm="spgd-fixed", fixed_sample_size=1000)
@@ -232,6 +233,14 @@ class TestCommandLine:
                    "--beta", "0.0", "--max-iters", "2"])
         assert rc == 2
         assert "beta" in capsys.readouterr().err
+
+    def test_a_theta_whose_square_underflows_exits_with_an_error_line(self, tmp_path, capsys):
+        # 1e-200 ** 2 == 0.0: the variance tests would divide by zero
+        rc = main(["run", "--problem", "basic", "--algorithm", "spgd", "--theta", "1e-200",
+                   "--max-iters", "2", "--output", str(tmp_path / "run.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: theta must be positive")
+        assert not (tmp_path / "run.csv").exists()
 
     def test_compare_failure_exit_code(self, tmp_path, capsys):
         a = tiny_config(tmp_path, output=str(tmp_path / "a.csv"))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from adasamp.algorithms import EqualityConstraint, OptimizerConfig, run_sqp_adaptive
 from adasamp.geometry import Hyperplane
-from adasamp.model import GradientStats, StochasticProblem
+from adasamp.model import GradientStats, StochasticProblem, fill_rows
 from adasamp.problems import make_basic_example
 from adasamp.sizing import TestConfig, norm_test, sqp_norm_test
 from oracles import condition_diagnostic, full_space, set_workers
@@ -115,7 +115,7 @@ class TestSqpNormTest:
 
         problem = StochasticProblem(
             dim=2,
-            sampler=lambda rng, n: rng.random((n, 2)),
+            sampler=lambda s, n: fill_rows(s, n, 2, lambda g, out: g.random(out=out)),
             value_many=lambda x, xis: 0.5 * np.sum((x - xis) ** 2, axis=1),
             grad_many=grad_many,
         )
