@@ -291,13 +291,18 @@ def _in_parallel(fn: Callable[[slice], None], n: int, step: Optional[int] = None
                 return
             fn(rows)
 
+    from concurrent.futures import wait
+
     pool = _executor()
     futures = [pool.submit(drain) for _ in range(workers - 1)]
     try:
         drain()
     finally:
-        for future in futures:
-            future.result()
+        # every thread has returned before an error propagates, so no chunk
+        # writes rows after the call
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -118,6 +118,22 @@ class TestKeyedStream:
         assert len({row.tobytes() for row in rows}) == rows.shape[0] == 13
 
 
+class TestFillRows:
+    """``fill_rows`` against the keyed blocks written out one by one."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "start, n",
+        [(0, 1), (0, BLOCK), (0, 3 * BLOCK + 1), (1, BLOCK), (BLOCK - 1, 2), (BLOCK + 7, 2 * BLOCK + 5)],
+    )
+    def test_equals_the_keyed_blocks_written_out(self, monkeypatch, workers, start, n):
+        set_workers(monkeypatch, workers)
+        want = keyed_rows(1, 3, start + n, lambda g, rows: g.random((rows, 3)))[start:]
+        got = fill_rows(Stream(1, 3, start), n, 3, lambda g, out: g.random(out=out))
+        assert got.shape == (n, 3)
+        assert np.array_equal(got, want)
+
+
 class TestExtendSamples:
     # drawing n rows and then m more from one stream equals a fresh draw of
     # n + m rows, on both packaged samplers; from the middle of a keyed
@@ -241,6 +257,46 @@ class TestRowParallelPasses:
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown()
+
+    @pytest.mark.parametrize("failing", ["calling thread", "pool thread"])
+    def test_an_error_propagates_once_every_chunk_has_returned(self, monkeypatch, failing):
+        # the first chunk that a thread of the given kind takes raises while
+        # slower chunks are in flight on the others: the error may propagate
+        # only once those have returned, and no chunk may start after it
+        from concurrent.futures import ThreadPoolExecutor
+
+        set_workers(monkeypatch, 4)
+        pool = ThreadPoolExecutor(3)
+        monkeypatch.setattr(model, "_pool", pool)
+        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        lock = threading.Lock()
+        started, finished, failed = [], [], []
+
+        def chunk(rows):
+            on_main = threading.current_thread() is threading.main_thread()
+            with lock:
+                started.append(rows.start)
+                raising = not failed and on_main == (failing == "calling thread")
+                if raising:
+                    failed.append(rows.start)
+                slow = len(started) <= 4
+            if raising:
+                raise ArithmeticError("chunk failed")
+            threading.Event().wait(0.03 if slow else 0.002)
+            with lock:
+                finished.append(rows.start)
+
+        try:
+            with pytest.raises(ArithmeticError, match="chunk failed"):
+                model._in_parallel(chunk, 20 * 512, 512)
+            with lock:
+                at_return = (sorted(started), sorted(finished))
+            threading.Event().wait(0.1)
+            assert (sorted(started), sorted(finished)) == at_return
+        finally:
+            pool.shutdown()
+        assert len(failed) == 1
+        assert sorted(started) == sorted(finished + failed)
 
     def test_problem_fields_run_on_the_calling_thread_only(self, monkeypatch):
         # worker threads run numpy kernels only: the benchmark's tracer

@@ -1,6 +1,11 @@
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from adasamp import model, problems
 from adasamp.geometry import Intersection, NonNegativeOrthant, project
 from adasamp.model import Stream, batch_grads, draw_samples
 from adasamp.problems import (
@@ -195,6 +200,43 @@ class TestPortfolio:
         for workers in (1, 2, 3):
             set_workers(monkeypatch, workers)
             assert np.array_equal(problem.sampler(Stream(5, n), n), want), workers
+
+    def test_sampler_matches_reference_when_the_correlate_falls_behind(self, monkeypatch, portfolio):
+        # every correlate sleeps, so several keyed blocks are in flight at
+        # once on the pool; all have returned with the sampler
+        problem, _ = portfolio
+        A, B = problem.params["A"], problem.params["B"]
+        n = 5 * model._STREAM_BLOCK_ROWS + 700
+        want = keyed_rows(
+            5, 0, n, lambda g, rows: A + block_correlate_reference(g.standard_normal((rows, 100)), B)
+        )
+        lock = threading.Lock()
+        started, finished = [], []
+        correlate = problems._correlate_chunk
+
+        def slow(u, B, A, out):
+            with lock:
+                started.append(u.shape[0])
+            threading.Event().wait(0.005)
+            correlate(u, B, A, out)
+            with lock:
+                finished.append(u.shape[0])
+
+        pool = ThreadPoolExecutor(3)
+        monkeypatch.setattr(model, "_pool", pool)
+        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        monkeypatch.setattr(problems, "_correlate_chunk", slow)
+        set_workers(monkeypatch, 4)
+        try:
+            got = problem.sampler(Stream(5, 0), n)
+            with lock:
+                at_return = (len(started), len(finished))
+            threading.Event().wait(0.05)
+            assert (len(started), len(finished)) == at_return == (6, 6)
+        finally:
+            pool.shutdown()
+        assert sum(finished) == n
+        assert np.array_equal(got, want)
 
     def test_correlate_matches_plain_product(self):
         # the sampler's correlate step: the shifted product, in fixed blocks
