@@ -14,12 +14,10 @@ from .algorithms import (
     run_nested_quantile,
     run_spgd_adaptive,
     run_sqp_adaptive,
-    spgd_step,
     sqp_directions,
 )
 from .geometry import (
     Halfspace,
-    Hyperplane,
     Intersection,
     NonNegativeOrthant,
     ProductWithFree,
@@ -48,11 +46,8 @@ from .problems import (
 from .records import RunRecord, compare_runs, read_csv, write_csv
 from .risk import (
     ExtendedProblem,
-    cvar_empirical,
     quantile_solve,
     smooth_plus,
-    smooth_plus_deriv,
     smoothed_cvar,
-    var_empirical,
 )
 from .sizing import TestConfig, TestOutcome, norm_test, sqp_norm_test

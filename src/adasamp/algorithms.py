@@ -34,7 +34,7 @@ from .model import (
     sample_objective,
 )
 from .records import RunRecord
-from .risk import ExtendedProblem, expit, quantile_solve, smooth_plus
+from .risk import ExtendedProblem, expit, smoothed_cvar
 from .sizing import TestConfig, norm_test, sqp_norm_test
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "OptimizerState",
     "RunResult",
     "EqualityConstraint",
-    "spgd_step",
     "run_spgd_adaptive",
     "sqp_directions",
     "run_sqp_adaptive",
@@ -132,40 +131,21 @@ def _stationary(reduced_grad, x) -> bool:
     return float(np.linalg.norm(reduced_grad)) <= guard
 
 
-def _projected_step(
-    cset: ConstraintSet,
-    x,
-    stats: GradientStats,
-    alpha: float,
-    cfg: Optional[OptimizerConfig] = None,
-) -> _Step:
+def _projected_step(cset: ConstraintSet, x, stats: GradientStats, cfg: OptimizerConfig) -> _Step:
     """The step x_next = P(x - alpha * mean gradient) and its reduced
-    gradient (x - x_next) / alpha. Given the driver's config, it also applies
+    gradient (x - x_next) / alpha, with alpha from ``cfg``. It also applies
     the stationarity guard and, if adaptive, the norm test that sizes the
     next set.
     """
+    alpha = cfg.alpha
     x_next = project(cset, x - alpha * stats.mean_grad).point
     step = _Step(x_next, (x - x_next) / alpha, stats.n)
-    if cfg is None:
-        return step
     if _stationary(step.reduced_grad, x):
         step.status = STATUS_STATIONARY
     elif cfg.adaptive:
         outcome = norm_test(stats, step.reduced_grad, cfg.test)
         step.rho, step.next_n = outcome.rho, outcome.next_size
     return step
-
-
-def spgd_step(problem, cset: ConstraintSet, x, sample_set: SampleSet, alpha: float):
-    """One projected gradient step on a sample-average gradient.
-
-    Returns (x_next, reduced_grad, stats) with x_next = P(x - alpha * mean
-    gradient) and reduced_grad = (x - x_next) / alpha.
-    """
-    x = np.asarray(x, dtype=float)
-    stats = sample_gradient(problem, x, sample_set)
-    step = _projected_step(cset, x, stats, alpha)
-    return step.x_next, step.reduced_grad, stats
 
 
 def _error_norm(x, known_optimum) -> Optional[float]:
@@ -227,7 +207,7 @@ def _expectation_step(problem, cset: ConstraintSet, cfg: OptimizerConfig, aux_t:
 
     def step(x, sample_set, k):
         stats = sample_gradient(problem, x, sample_set)
-        s = _projected_step(cset, x, stats, cfg.alpha, cfg)
+        s = _projected_step(cset, x, stats, cfg)
         s.objective = sample_objective(problem, x, sample_set)
         if aux_t:
             s.t = float(x[-1])
@@ -396,8 +376,8 @@ def run_nested_quantile(
     values, freezes it, and takes a projected step in x on the gradient
     (1/|S|) sum_i sigma((f_i - t)/epsilon) grad f_i. The norm test on that
     gradient's statistics drives the sample size exactly as in the
-    risk-neutral driver. The logged objective estimate is the smoothed CVaR
-    value t + mean(smooth_plus(f_i - t, epsilon))/(1 - beta).
+    risk-neutral driver. The logged t and objective estimate are
+    ``smoothed_cvar`` of the sample values.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
@@ -406,13 +386,12 @@ def run_nested_quantile(
 
     def step(x, sample_set, k):
         fs = batch_values(problem, x, sample_set.realizations)
-        t_k = quantile_solve(fs, beta, epsilon)
+        t_k, objective = smoothed_cvar(fs, beta, epsilon)
         grads = batch_grads(problem, x, sample_set.realizations)
         weights = expit((fs - t_k) / epsilon)
         np.multiply(grads, weights[:, None], out=grads)
-        s = _projected_step(cset, x, gradient_stats(grads), cfg.alpha, cfg)
-        s.objective = float(t_k + np.mean(smooth_plus(fs - t_k, epsilon)) / (1.0 - beta))
-        s.t = t_k
+        s = _projected_step(cset, x, gradient_stats(grads), cfg)
+        s.objective, s.t = objective, t_k
         return s
 
     x = project(cset, np.asarray(x0, dtype=float)).point

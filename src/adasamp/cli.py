@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -209,18 +209,20 @@ _FLOAT_FIELDS = {"alpha", "theta", "beta", "epsilon"}
 
 
 def _coerce(field: str, value: str):
-    if field in _INT_FIELDS:
-        return int(value)
-    if field in _FLOAT_FIELDS:
-        return float(value)
-    return value
+    kind = int if field in _INT_FIELDS else float if field in _FLOAT_FIELDS else str
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(field, f"not a valid {kind.__name__}: {value!r}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
+        # only the dataclass fields: a method name such as validate is no key
+        names = {f.name for f in fields(ExperimentConfig)}
         for key, raw in load_config_file(args.config).items():
-            if not hasattr(cfg, key):
+            if key not in names:
                 raise ConfigError(key, "unknown configuration key")
             setattr(cfg, key, _coerce(key, raw))
     for field in vars(cfg):

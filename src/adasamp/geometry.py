@@ -1,9 +1,10 @@
 """Convex constraint sets and Euclidean projection operators.
 
 Every set descriptor is an immutable value object. Leaf sets (orthant,
-simplex, halfspace, hyperplane) project in closed form; intersections are
-projected with Dykstra's algorithm, which converges to the true Euclidean
-projection rather than merely a feasible point.
+simplex, halfspace) project in closed form; intersections are projected
+with Dykstra's algorithm, which converges to the true Euclidean projection
+rather than merely a feasible point. The product with R carries the extended
+problem's free t coordinate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "NonNegativeOrthant",
     "UnitSimplex",
     "Halfspace",
-    "Hyperplane",
     "Intersection",
     "ProductWithFree",
     "project",
@@ -113,29 +113,6 @@ class Halfspace(ConstraintSet):
             # already feasible: no-op fast path
             return np.asarray(y, dtype=float)
         return y + (gap / float(self.normal @ self.normal)) * self.normal
-
-
-@dataclass(frozen=True, eq=False)
-class Hyperplane(ConstraintSet):
-    """The set {x : <normal, x> = offset}."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        normal = _as_vector(self.normal, "normal")
-        if not np.any(normal):
-            raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @property
-    def dim(self) -> int:
-        return self.normal.shape[0]
-
-    def _project(self, y):
-        shift = (float(self.normal @ y) - self.offset) / float(self.normal @ self.normal)
-        return y - shift * self.normal
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,5 @@
-"""VaR/CVaR computation, softplus-style smoothing of (.)_+, the smoothed-CVaR
-scalar minimization, and the extended problem over (x, t)."""
+"""Softplus-style smoothing of (.)_+, the smoothed-CVaR scalar minimization
+over t and its value, and the extended problem over (x, t)."""
 
 from __future__ import annotations
 
@@ -12,9 +12,6 @@ from .model import StochasticProblem, Stream, batch_grads, batch_values
 __all__ = [
     "ExtendedProblem",
     "smooth_plus",
-    "smooth_plus_deriv",
-    "var_empirical",
-    "cvar_empirical",
     "quantile_solve",
     "smoothed_cvar",
 ]
@@ -48,47 +45,6 @@ def smooth_plus(y, epsilon: float):
     y = np.asarray(y, dtype=float)
     out = np.maximum(y, 0.0) + epsilon * np.log1p(np.exp(-np.abs(y) / epsilon))
     return float(out) if out.ndim == 0 else out
-
-
-def smooth_plus_deriv(y, epsilon: float):
-    """Derivative of smooth_plus in y: the logistic sigma(y/epsilon)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    y = np.asarray(y, dtype=float)
-    out = expit(y / epsilon)
-    return float(out) if out.ndim == 0 else out
-
-
-def var_empirical(values, beta: float) -> float:
-    """Empirical beta-quantile: the ceil(beta*N)-th order statistic
-    (1-indexed, with ceil(0) treated as 1)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty value list")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    k = max(1, math.ceil(beta * values.size))
-    return float(np.sort(values)[k - 1])
-
-
-def cvar_empirical(values, beta: float) -> float:
-    """Exact empirical CVaR via the dual form min_t t + mean((v-t)_+)/(1-beta).
-
-    The objective is convex piecewise linear with breakpoints at the order
-    statistics, so evaluating it at every order statistic and taking the
-    minimum is exact.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty value list")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    v = np.sort(values)
-    n = v.size
-    # mean((v - t)_+) at t = v[k] is (suffix_sum[k] - (n-k-1) * v[k]) / n
-    suffix = np.concatenate([np.cumsum(v[::-1])[::-1][1:], [0.0]])
-    tail_means = (suffix - (n - 1 - np.arange(n)) * v) / n
-    return float(np.min(v + tail_means / (1.0 - beta)))
 
 
 def quantile_solve(values, beta: float, epsilon: float) -> float:
@@ -131,13 +87,18 @@ def quantile_solve(values, beta: float, epsilon: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def smoothed_cvar(values, beta: float, epsilon: float) -> float:
-    """Smoothed CVaR: t* + mean(smooth_plus(v - t*, epsilon))/(1-beta) with t*
-    the quantile_solve minimizer. Differs from cvar_empirical by at most
-    epsilon*ln(2)/(1-beta)."""
+def smoothed_cvar(values, beta: float, epsilon: float) -> tuple[float, float]:
+    """The smoothed CVaR of ``values`` and its minimizer: returns (t, value)
+    with t the quantile_solve root and value t + mean(smooth_plus(v - t,
+    epsilon))/(1-beta).
+
+    t minimizes the smoothed objective, and smooth_plus lies within
+    epsilon*ln(2) above (.)_+, so the value lies within epsilon*ln(2)/(1-beta)
+    above the exact empirical CVaR min_t t + mean((v-t)_+)/(1-beta).
+    """
     values = np.asarray(values, dtype=float)
     t_star = quantile_solve(values, beta, epsilon)
-    return float(t_star + np.mean(smooth_plus(values - t_star, epsilon)) / (1.0 - beta))
+    return t_star, float(t_star + np.mean(smooth_plus(values - t_star, epsilon)) / (1.0 - beta))
 
 
 class ExtendedProblem:
@@ -175,7 +136,7 @@ class ExtendedProblem:
         x, t = self._split(z)
         fs = batch_values(self.base, x, xis)
         gs = batch_grads(self.base, x, xis)
-        s = smooth_plus_deriv(fs - t, self.epsilon) / (1.0 - self.beta)
+        s = expit((fs - t) / self.epsilon) / (1.0 - self.beta)
         out = np.empty((gs.shape[0], gs.shape[1] + 1))
         np.multiply(s[:, None], gs, out=out[:, :-1])
         np.subtract(1.0, s, out=out[:, -1])

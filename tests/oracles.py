@@ -3,8 +3,11 @@
 These deliberately avoid the library's own algorithms: projections are
 verified against an exhaustive active-set QP enumeration, SQP steps against a
 dense KKT linear system, and gradients against central finite differences.
-The box, a leaf set only the tests use, is defined here too, and so are a
-Monte-Carlo check of the moments the sample-size theory controls, the
+
+Reference code that only the tests use lives here too: the box and the
+hyperplane (leaf sets no driver or CLI path projects onto), the exact
+empirical VaR and CVaR, one projected gradient step as the drivers take it,
+a Monte-Carlo check of the moments the sample-size theory controls, the
 setting of the worker count under which the parallel passes run, and the
 keyed sample stream written out block by block.
 """
@@ -15,17 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adasamp import model
+from adasamp import algorithms, model
 from adasamp.geometry import (
     ConstraintSet,
     Halfspace,
-    Hyperplane,
     Intersection,
     NonNegativeOrthant,
     UnitSimplex,
+    _as_vector,
     project,
 )
-from adasamp.model import StochasticProblem, batch_grads, draw_samples
+from adasamp.model import StochasticProblem, batch_grads, draw_samples, sample_gradient
+from adasamp.sizing import TestConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +50,77 @@ class Box(ConstraintSet):
 
     def _project(self, y):
         return np.clip(y, self.lower, self.upper)
+
+
+@dataclass(frozen=True, eq=False)
+class Hyperplane(ConstraintSet):
+    """The set {x : <normal, x> = offset}, a leaf set projected in closed
+    form: the linearization of an equality constraint."""
+
+    normal: np.ndarray
+    offset: float
+
+    def __post_init__(self):
+        normal = _as_vector(self.normal, "normal")
+        if not np.any(normal):
+            raise ValueError("hyperplane normal must be nonzero")
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", float(self.offset))
+
+    @property
+    def dim(self) -> int:
+        return self.normal.shape[0]
+
+    def _project(self, y):
+        shift = (float(self.normal @ y) - self.offset) / float(self.normal @ self.normal)
+        return y - shift * self.normal
+
+
+def var_empirical(values, beta: float) -> float:
+    """Empirical beta-quantile: the ceil(beta*N)-th order statistic
+    (1-indexed, with ceil(0) treated as 1)."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("empty value list")
+    if not 0.0 <= beta < 1.0:
+        raise ValueError("beta must lie in [0, 1)")
+    k = max(1, math.ceil(beta * values.size))
+    return float(np.sort(values)[k - 1])
+
+
+def cvar_empirical(values, beta: float) -> float:
+    """Exact empirical CVaR via the dual form min_t t + mean((v-t)_+)/(1-beta).
+
+    The objective is convex piecewise linear with breakpoints at the order
+    statistics, so evaluating it at every order statistic and taking the
+    minimum is exact.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("empty value list")
+    if not 0.0 <= beta < 1.0:
+        raise ValueError("beta must lie in [0, 1)")
+    v = np.sort(values)
+    n = v.size
+    # mean((v - t)_+) at t = v[k] is (suffix_sum[k] - (n-k-1) * v[k]) / n
+    suffix = np.concatenate([np.cumsum(v[::-1])[::-1][1:], [0.0]])
+    tail_means = (suffix - (n - 1 - np.arange(n)) * v) / n
+    return float(np.min(v + tail_means / (1.0 - beta)))
+
+
+def spgd_step(problem, cset, x, sample_set, alpha):
+    """One projected gradient step on a sample-average gradient, as the
+    drivers take it: ``sample_gradient``, then the drivers' own
+    ``_projected_step`` (non-adaptive, so no norm test runs).
+
+    Returns (x_next, reduced_grad, stats) with x_next = P(x - alpha * mean
+    gradient) and reduced_grad = (x - x_next) / alpha.
+    """
+    x = np.asarray(x, dtype=float)
+    stats = sample_gradient(problem, x, sample_set)
+    cfg = algorithms.OptimizerConfig(alpha=alpha, max_iters=1, test=TestConfig(theta=1.0), adaptive=False)
+    step = algorithms._projected_step(cset, x, stats, cfg)
+    return step.x_next, step.reduced_grad, stats
 
 
 def set_workers(monkeypatch, workers):

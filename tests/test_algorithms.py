@@ -12,13 +12,12 @@ from adasamp.algorithms import (
     run_nested_quantile,
     run_spgd_adaptive,
     run_sqp_adaptive,
-    spgd_step,
     sqp_directions,
 )
 from adasamp.geometry import NonNegativeOrthant, project
-from adasamp.model import StochasticProblem, draw_samples, fill_rows, sample_gradient
+from adasamp.model import StochasticProblem, batch_values, draw_samples, fill_rows, sample_gradient
 from adasamp.problems import make_basic_example, make_portfolio
-from adasamp.risk import ExtendedProblem
+from adasamp.risk import ExtendedProblem, smoothed_cvar
 from adasamp.sizing import TestConfig
 from oracles import (
     central_diff,
@@ -27,6 +26,7 @@ from oracles import (
     kkt_sqp_oracle,
     rel_err,
     rowwise_problem,
+    spgd_step,
 )
 
 RNG = np.random.default_rng(515)
@@ -351,6 +351,19 @@ class TestRunNestedQuantile:
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
         assert res.records[-1].cumulative_grad_evals == sum(sizes)
         assert all(r.t_aux is not None for r in res.records)
+
+    def test_logs_smoothed_cvar_of_each_set(self, portfolio):
+        # the logged (t, objective) is smoothed_cvar of the iterate's values
+        # on that iteration's set, bit for bit
+        problem, cset = portfolio
+        beta, eps = 0.9, 0.1
+        c = cfg(alpha=0.2, iters=8, theta=1.0, seed=3)
+        res = run_nested_quantile(problem, cset, beta, eps, c, np.full(100, 0.01))
+        assert len({r.sample_size for r in res.records}) > 1
+        for k, (rec, x) in enumerate(zip(res.records, res.iterates)):
+            s = draw_samples(problem, rec.sample_size, k, c.seed)
+            fs = batch_values(problem, x, s.realizations)
+            assert (rec.t_aux, rec.objective_estimate) == smoothed_cvar(fs, beta, eps)
 
     def test_rejects_bad_beta_and_epsilon(self, basic):
         problem, cset = basic

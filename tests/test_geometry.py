@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from adasamp.geometry import (
     Halfspace,
-    Hyperplane,
     Intersection,
     NonNegativeOrthant,
     ProductWithFree,
@@ -15,6 +14,7 @@ from adasamp.geometry import (
 )
 from oracles import (
     Box,
+    Hyperplane,
     feasibility_residual,
     full_space,
     qp_projection_oracle,

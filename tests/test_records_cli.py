@@ -164,11 +164,15 @@ class TestConfigFileAndFlags:
         assert cfg.theta == 0.5
         assert cfg.max_iters == 9
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # methods and dunder attributes of the config are no keys: setting them
+    # replaced validate or output_path with a string
+    @pytest.mark.parametrize("key", ["bogus", "validate", "output_path", "__class__"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "exp.cfg"
-        path.write_text("bogus = 1\n")
-        with pytest.raises(ConfigError):
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match="unknown configuration key") as info:
             resolve_config(make_args(config=str(path)))
+        assert info.value.field == key
 
 
 def make_args(**overrides):
@@ -233,6 +237,18 @@ class TestCommandLine:
                    "--beta", "0.0", "--max-iters", "2"])
         assert rc == 2
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, field", [("validate = 1", "validate"), ("s0 = abc", "s0")], ids=["method", "number"]
+    )
+    def test_bad_config_file_line_exits_with_an_error_line(self, tmp_path, capsys, line, field):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        rc = main(["run", "--config", str(path), "--max-iters", "2",
+                   "--output", str(tmp_path / "run.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid configuration field '{field}'")
+        assert not (tmp_path / "run.csv").exists()
 
     def test_a_theta_whose_square_underflows_exits_with_an_error_line(self, tmp_path, capsys):
         # 1e-200 ** 2 == 0.0: the variance tests would divide by zero

@@ -8,17 +8,9 @@ from adasamp import risk
 from adasamp.algorithms import OptimizerConfig, run_nested_quantile
 from adasamp.model import draw_samples
 from adasamp.problems import make_basic_example, make_portfolio
-from adasamp.risk import (
-    ExtendedProblem,
-    cvar_empirical,
-    quantile_solve,
-    smooth_plus,
-    smooth_plus_deriv,
-    smoothed_cvar,
-    var_empirical,
-)
+from adasamp.risk import ExtendedProblem, quantile_solve, smooth_plus, smoothed_cvar
 from adasamp.sizing import TestConfig
-from oracles import central_diff, rel_err
+from oracles import central_diff, cvar_empirical, rel_err, var_empirical
 
 RNG = np.random.default_rng(99)
 
@@ -53,18 +45,23 @@ class TestSmoothPlus:
 
 
 class TestSmoothPlusDeriv:
+    # the derivative of smooth_plus(y, eps) in y is expit(y / eps), the
+    # identity the extended gradient uses
+
     def test_logistic_symmetry_at_zero(self):
-        assert smooth_plus_deriv(0.0, 0.3) == 0.5
+        assert risk.expit(0.0 / 0.3) == 0.5
+        fd = (smooth_plus(1e-6, 0.3) - smooth_plus(-1e-6, 0.3)) / 2e-6
+        assert fd == pytest.approx(0.5, rel=1e-7)
 
     def test_matches_finite_differences(self):
         for y in (-1.0, 0.3, 2.0):
             fd = (smooth_plus(y + 1e-6, 0.25) - smooth_plus(y - 1e-6, 0.25)) / 2e-6
-            assert abs(fd - smooth_plus_deriv(y, 0.25)) / abs(fd) <= 1e-7
+            assert abs(fd - risk.expit(y / 0.25)) / abs(fd) <= 1e-7
 
     def test_saturates(self):
         eps = 0.1
-        assert smooth_plus_deriv(30 * eps, eps) == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 < smooth_plus_deriv(-30 * eps, eps) < 1e-12
+        assert risk.expit(30 * eps / eps) == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < risk.expit(-30 * eps / eps) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -145,7 +142,7 @@ class TestLazyExpit:
 
     def test_module_global_is_looked_up_at_call_time(self, monkeypatch):
         # replacing adasamp.risk.expit must reach every caller that evaluates
-        # the logistic in the quantile solve and the smoothed derivative
+        # the logistic in the quantile solve and the extended gradient
         calls = []
         original = risk.expit
 
@@ -157,8 +154,10 @@ class TestLazyExpit:
         quantile_solve(np.arange(10.0), 0.9, 0.1)
         assert len(calls) > 0
         calls.clear()
-        smooth_plus_deriv(np.arange(3.0), 0.1)
-        assert len(calls) == 1
+        base, _ = make_basic_example(7)
+        s = draw_samples(base, 4, 0, 5)
+        ExtendedProblem(base, 0.5, 0.1).grad_many(np.full(21, 0.3), s.realizations)
+        assert len(calls) == 1  # one logistic pass per gradient pass
         calls.clear()
         problem, cset = make_portfolio(0)
         cfg = OptimizerConfig(alpha=0.2, max_iters=2, test=TestConfig(theta=4.0),
@@ -220,18 +219,25 @@ class TestSmoothedCvar:
     def test_constant_list_within_bound(self):
         for beta in (0.3, 0.5, 0.9):
             eps = 0.1
-            out = smoothed_cvar([4.0] * 6, beta, eps)
+            _, out = smoothed_cvar([4.0] * 6, beta, eps)
             assert abs(out - 4.0) <= eps * math.log(2.0) / (1.0 - beta) + 1e-12
 
     def test_small_epsilon_limits_to_exact_cvar(self):
-        assert smoothed_cvar([0.0, 1.0], 0.5, 1e-6) == pytest.approx(1.0, abs=1e-5)
+        assert smoothed_cvar([0.0, 1.0], 0.5, 1e-6)[1] == pytest.approx(1.0, abs=1e-5)
+
+    def test_returns_the_quantile_root(self):
+        vals = RNG.normal(size=50)
+        t, value = smoothed_cvar(vals, 0.9, 0.1)
+        assert t == quantile_solve(vals, 0.9, 0.1)
+        want = t + np.mean(smooth_plus(vals - t, 0.1)) / (1.0 - 0.9)
+        assert value == want
 
     def test_bound_on_random_lists(self):
         for _ in range(100):
             vals = RNG.normal(size=int(RNG.integers(1, 60))) * RNG.uniform(0.2, 4)
             for beta in (0.5, 0.9):
                 for eps in (0.1, 0.01):
-                    gap = abs(smoothed_cvar(vals, beta, eps) - cvar_empirical(vals, beta))
+                    gap = abs(smoothed_cvar(vals, beta, eps)[1] - cvar_empirical(vals, beta))
                     assert gap <= eps * math.log(2.0) / (1.0 - beta) + 1e-10
 
 

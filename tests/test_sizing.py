@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adasamp.algorithms import EqualityConstraint, OptimizerConfig, run_sqp_adaptive
-from adasamp.geometry import Hyperplane
 from adasamp.model import GradientStats, StochasticProblem, fill_rows
 from adasamp.problems import make_basic_example
 from adasamp.sizing import TestConfig, norm_test, sqp_norm_test
-from oracles import condition_diagnostic, full_space, set_workers
+from oracles import Hyperplane, condition_diagnostic, full_space, set_workers
 
 CFG = TestConfig(theta=0.5)
 
