@@ -72,8 +72,8 @@ class OptimizerConfig:
     adaptive: bool = True
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.adaptive and self.initial_sample_size < 2:
@@ -309,8 +309,8 @@ def run_sqp_adaptive(
                 break
             if not cfg.adaptive:
                 break
-            # the test overwrites the reduced gradients with their
-            # deviations; dirs is not read again once d_mean is taken
+            # the test only reads the reduced gradients, which reuse the
+            # buffer of dirs: dirs is not read again once d_mean is taken
             outcome = sqp_norm_test(np.divide(dirs, -cfg.alpha, out=dirs), reduced_grad, cfg.test)
             rho = outcome.rho
             if outcome.passed:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -67,10 +68,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "algorithm", f"must be one of {ALGORITHMS}, got {self.algorithm!r}"
             )
-        if self.alpha <= 0:
-            raise ConfigError("alpha", "must be positive")
-        if self.algorithm != "spgd-fixed" and self.theta <= 0:
-            raise ConfigError("theta", "must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError("alpha", "must be positive and finite")
+        if self.algorithm != "spgd-fixed" and not (math.isfinite(self.theta) and self.theta > 0):
+            raise ConfigError("theta", "must be positive and finite")
         if self.algorithm in ("cvar-extended", "cvar-nested"):
             if not 0.0 < self.beta < 1.0:
                 raise ConfigError(

@@ -52,6 +52,8 @@ _STREAM_BLOCK_ROWS = 2048
 
 # Rows per block of the blocked per-sample passes.
 _BLOCK_ROWS = 512
+_MOMENT_ROWS = 2048  # rows per block of ``_moments``, a multiple of 512
+_SLAB_ROWS = 128  # rows per slab of a tiled row-vector broadcast (``_rowwise``)
 
 # Passes over fewer rows run on the calling thread. On two CPUs, split
 # passes made the extended portfolio iteration at 10^4 rows up to 10%
@@ -82,9 +84,10 @@ class StochasticProblem:
     ``xi[None]``.
 
     Ownership: the array ``grad_many`` returns passes to the caller, which
-    may overwrite it (``gradient_stats`` does). Return a fresh array, or
-    ``xis`` itself, a view of it or a read-only array, which ``batch_grads``
-    copies; never a writable array the problem keeps and reads again.
+    may overwrite it (the nested CVaR step weights it in place). Return a
+    fresh array, or ``xis`` itself, a view of it or a read-only array, which
+    ``batch_grads`` copies; never a writable array the problem keeps and
+    reads again.
     """
 
     dim: int
@@ -231,6 +234,23 @@ def _block_matvec(m: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         np.matmul(m[full:], v, out=out[full:])
 
 
+def _tile(v: np.ndarray) -> np.ndarray:
+    """The row vector v repeated for the ``_SLAB_ROWS`` rows of one slab."""
+    return np.tile(v, (_SLAB_ROWS, 1))
+
+
+def _rowwise(op, rows: np.ndarray, tile: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = op(rows, v) for the row vector v that ``tile`` repeats;
+    ``out`` is C-contiguous and may be ``rows``. Each slab of rows meets the
+    tile as one contiguous operand, so numpy runs one long loop per slab
+    instead of a d-element loop per row: the same elementwise operations, so
+    the same bits."""
+    n, d = rows.shape
+    full = n - n % _SLAB_ROWS
+    op(rows[:full].reshape(-1, _SLAB_ROWS, d), tile, out=out[:full].reshape(-1, _SLAB_ROWS, d))
+    op(rows[full:], tile[: n - full], out=out[full:])
+
+
 def _workers() -> int:
     """CPUs this process may run on."""
     try:
@@ -320,7 +340,8 @@ def batch_values(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
 def batch_grads(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """Per-sample gradients, shape (n, dim).
 
-    The result is always an array the caller owns and may overwrite: a
+    The result is always an array the caller owns and may overwrite, as the
+    nested CVaR step does (``gradient_stats`` only reads it): a
     ``grad_many`` result that shares memory with ``xis`` (``-xis`` does
     not, ``xis`` or a view of it does) is copied, so that writing into it
     never alters the sample set, and so is a read-only one (such as
@@ -340,43 +361,56 @@ def sample_objective(problem, x, sample_set: SampleSet) -> float:
     return float(np.mean(batch_values(problem, x, sample_set.realizations)))
 
 
-def _deviation_sum(rows: np.ndarray, center: np.ndarray) -> float:
-    """sum_i ||rows_i - center||^2 over n >= 2 rows (index-ordered
-    reduction, so the result is bit-stable), exactly 0.0 when all rows are
-    equal.
+def _moments(rows: np.ndarray, center: Optional[np.ndarray] = None):
+    """(mean, M2) of n >= 1 rows, where M2 = sum_i ||rows_i - c||^2 about
+    the rows' mean c, or about ``center`` when one is given; M2 is exactly
+    0.0 when n >= 2 and all rows are equal. ``rows`` is only read.
 
-    A writable float64 ``rows`` holds the deviations rows_i - center on
-    return, unless all rows are equal; a read-only or non-float64 argument
-    is copied first. The deviations are formed in ``_in_parallel`` row
-    chunks and summed by one ``einsum``, so the sum has the same bits at any
-    CPU count.
+    Block b of ``_MOMENT_ROWS`` rows forms its column sum s_b and its M2_b
+    about c_b (its own mean s_b / n_b, or ``center``) in a scratch buffer of
+    its chunk, under ``_in_parallel`` from two blocks on. The calling thread
+    merges the blocks in block order (Chan, Golub and LeVeque 1979): the
+    mean is sum_b s_b / n and M2 = sum_b M2_b + sum_b n_b ||c_b - c||^2. So
+    the bits do not depend on the CPU count, and one block of two or more
+    columns gives the two-pass bits: ``mean(axis=0)`` and one ``einsum``
+    over the deviations.
     """
-    dev = np.asarray(rows, dtype=float)
-    if np.all(dev[1] == dev[0]) and np.all(dev == dev[0]):
+    rows = np.asarray(rows, dtype=float)
+    n, d = rows.shape
+    sums = np.empty((-(-n // _MOMENT_ROWS), d))
+    centers = np.empty_like(sums)
+    m2 = np.empty(sums.shape[0])
+
+    def chunk(part):
+        buf = np.empty((min(part.stop - part.start, _MOMENT_ROWS), d))
+        tile = np.empty((_SLAB_ROWS, d))
+        for lo in range(part.start, part.stop, _MOMENT_ROWS):
+            b = lo // _MOMENT_ROWS
+            block = rows[lo : min(lo + _MOMENT_ROWS, part.stop)]
+            dev = buf[: block.shape[0]]
+            np.einsum("ij->j", block, out=sums[b])
+            centers[b] = tile[:] = sums[b] / block.shape[0] if center is None else center
+            _rowwise(np.subtract, block, tile, dev)
+            m2[b] = np.einsum("ij,ij->", dev, dev)
+
+    _in_parallel(chunk, n, _MOMENT_ROWS)
+    mean = np.add.reduce(sums, axis=0) / n
+    if n >= 2 and np.all(rows[1] == rows[0]) and np.all(rows == rows[0]):
         # identical rows must give exactly zero, not summation fuzz; the
         # two-row check skips the full scan whenever rows 0 and 1 differ
-        return 0.0
-    if not dev.flags.writeable:
-        dev = dev.copy()
-    _in_parallel(lambda r: np.subtract(dev[r], center, out=dev[r]), dev.shape[0])
-    return float(np.einsum("ij,ij->", dev, dev))
+        return mean, 0.0
+    counts = np.minimum(n - _MOMENT_ROWS * np.arange(m2.size), _MOMENT_ROWS)
+    spread = np.square(centers - (mean if center is None else center)).sum(axis=1) * counts
+    return mean, sum(m2.tolist()) + sum(spread.tolist())
 
 
 def gradient_stats(grads: np.ndarray) -> GradientStats:
-    """Statistics of a stack of per-sample gradients (index-ordered reduction,
-    so the result is bit-stable).
-
-    The statistic is ``_deviation_sum(grads, mean) / ((n - 1) n)``, the
-    kernel ``sqp_norm_test`` shares. A writable float64 ``grads`` is
-    overwritten: when n >= 2 and its rows differ, it holds the deviations
-    g_i - mean on return. Pass a copy to keep the gradients; a read-only
-    array is copied.
-    """
-    grads = np.asarray(grads, dtype=float)
-    n = grads.shape[0]
-    mean = grads.mean(axis=0)
-    variance_stat = _deviation_sum(grads, mean) / ((n - 1) * n) if n >= 2 else math.nan
-    return GradientStats(mean, variance_stat, n)
+    """Statistics of a stack of per-sample gradients, from ``_moments``:
+    the statistic is M2 / ((n - 1) n), by the kernel ``sqp_norm_test``
+    shares. ``grads`` is only read."""
+    mean, m2 = _moments(grads)
+    n = len(grads)
+    return GradientStats(mean, m2 / ((n - 1) * n) if n >= 2 else math.nan, n)
 
 
 def sample_gradient(problem, x, sample_set: SampleSet) -> GradientStats:

@@ -27,6 +27,8 @@ from .model import (
     _in_parallel,
     _matvec,
     _row_blocks,
+    _rowwise,
+    _tile,
     fill_rows,
     stream_rng,
 )
@@ -77,19 +79,21 @@ class BasicExample:
 
     def build(self) -> Tuple[StochasticProblem, ConstraintSet]:
         a, b = self.a, self.b
-        two_a = 2.0 * a
+        # x - b*xi is formed as (-b)*xi + x, the same bits, over tiled rows
+        neg_b_tile, two_a_tile = _tile(-b), _tile(2.0 * a)
 
         def value_many(x, xis):
             # (x - b*xi)^2 @ a: the elementwise part on groups of blocks in
             # one small buffer per chunk, the matmul per 512-row block
             values = np.empty(xis.shape[0])
+            x_tile = _tile(x)
 
             def chunk(rows):
                 buf = np.empty((min(rows.stop - rows.start, _VALUE_GROUP_ROWS + 1), BASIC_DIM))
                 for group in _row_blocks(rows.stop, rows.start, _VALUE_GROUP_ROWS):
                     r = buf[: group.stop - group.start]
-                    np.multiply(xis[group], b, out=r)
-                    np.subtract(x, r, out=r)
+                    _rowwise(np.multiply, xis[group], neg_b_tile, r)
+                    _rowwise(np.add, r, x_tile, r)
                     np.square(r, out=r)
                     _block_matvec(r, a, values[group])
 
@@ -99,11 +103,13 @@ class BasicExample:
         def grad_many(x, xis):
             # 2a*(x - b*xi), in row chunks of one fresh (n, d) buffer
             grads = np.empty(xis.shape)
+            x_tile = _tile(x)
 
             def chunk(rows):
-                r = np.multiply(xis[rows], b, out=grads[rows])
-                np.subtract(x, r, out=r)
-                np.multiply(r, two_a, out=r)
+                r = grads[rows]
+                _rowwise(np.multiply, xis[rows], neg_b_tile, r)
+                _rowwise(np.add, r, x_tile, r)
+                _rowwise(np.multiply, r, two_a_tile, r)
 
             _in_parallel(chunk, xis.shape[0])
             return grads

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GradientStats, _deviation_sum
+from .model import GradientStats, _moments
 
 __all__ = [
     "TestConfig",
@@ -31,8 +31,8 @@ class TestConfig:
     max_sample_size: int = 10**6
 
     def __post_init__(self):
-        if self.theta <= 0 or self.theta**2 == 0:
-            raise ValueError("theta must be positive, with a square that does not underflow to 0")
+        if not (self.theta > 0 and 0.0 < self.theta * self.theta < math.inf):  # NaN fails too
+            raise ValueError("theta must be positive and finite, with a square in (0, inf)")
         if self.max_sample_size < 2:
             raise ValueError("max_sample_size must be >= 2 (the variance test needs two samples)")
 
@@ -94,11 +94,9 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
     An exactly zero mean direction and a non-finite statistic or squared
     norm are rejected, as in ``norm_test``.
 
-    The numerator is the deviation sum of ``gradient_stats``
-    (``model._deviation_sum``, split in row chunks across CPUs). A writable
-    float64 ``per_sample_dirs`` is overwritten: when n >= 2 and its rows
-    differ, it holds the deviations d_i - mean_dir on return. Pass a copy to
-    keep the directions; a read-only array is copied.
+    The numerator is the M2 of ``gradient_stats``'s kernel
+    (``model._moments``, in blocks across CPUs), about ``mean_dir``.
+    ``per_sample_dirs`` is only read.
     """
     dirs = np.asarray(per_sample_dirs, dtype=float)
     mean_dir = np.asarray(mean_dir, dtype=float)
@@ -113,7 +111,7 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
         )
     if m_sq == 0.0:
         raise ValueError("direction-variance test needs a nonzero mean direction")
-    num = _deviation_sum(dirs, mean_dir)
+    num = _moments(dirs, mean_dir)[1]
     if not math.isfinite(num):
         raise ValueError(
             f"direction-variance test got a non-finite statistic ({num}) "

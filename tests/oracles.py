@@ -9,7 +9,8 @@ hyperplane (leaf sets no driver or CLI path projects onto), the exact
 empirical VaR and CVaR, one projected gradient step as the drivers take it,
 a Monte-Carlo check of the moments the sample-size theory controls, the
 setting of the worker count under which the parallel passes run, and the
-keyed sample stream written out block by block.
+keyed sample stream and the blocked moment kernel written out block by
+block.
 """
 
 import itertools
@@ -142,6 +143,33 @@ def keyed_rows(seed, iteration, n, draw):
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, iteration, b))
         blocks.append(draw(np.random.Generator(np.random.SFC64(seq)), min(size, n - start)))
     return np.concatenate(blocks)
+
+
+def blocked_moments(rows, center=None):
+    """``model._moments`` written out: (mean, M2) from blocks of
+    ``model._MOMENT_ROWS`` rows, each with its column sum s_b and its
+    deviation sum M2_b about c_b (its mean, or ``center``), merged in block
+    order as mean = sum_b s_b / n and M2 = sum_b M2_b + sum_b n_b ||c_b -
+    c||^2 about c (the mean, or ``center``); M2 is 0.0 for identical rows."""
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[0]
+    size = model._MOMENT_ROWS
+    blocks = [rows[lo : lo + size] for lo in range(0, n, size)]
+    sums = [block.sum(axis=0) for block in blocks]
+    total = sums[0]
+    for s in sums[1:]:
+        total = total + s
+    mean = total / n
+    if n >= 2 and np.all(rows == rows[0]):
+        return mean, 0.0
+    c = mean if center is None else center
+    m2 = spread = 0.0
+    for block, s in zip(blocks, sums):
+        c_b = s / len(block) if center is None else center
+        dev = block - c_b
+        m2 += np.einsum("ij,ij->", dev, dev)
+        spread += ((c_b - c) ** 2).sum() * len(block)
+    return mean, m2 + spread
 
 
 def full_space(dim):

@@ -378,6 +378,11 @@ class TestOptimizerConfigValidation:
         with pytest.raises(ValueError):
             cfg(alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            cfg(alpha=alpha)
+
     def test_rejects_single_sample_start_when_adaptive(self):
         with pytest.raises(ValueError):
             cfg(s0=1)
@@ -396,8 +401,9 @@ class TestOptimizerConfigValidation:
 
 
 class TestGradientOwnership:
-    # gradient_stats overwrites the gradient array, so a grad_many that
-    # hands back the sample array itself must not corrupt the sample set
+    # the caller may overwrite the gradient array (the nested step does), so
+    # a grad_many that hands back the sample array itself must not corrupt
+    # the sample set
 
     def test_sample_gradient_leaves_realizations_unchanged(self):
         problem = linear_returning(lambda x, xis: xis)

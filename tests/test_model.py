@@ -25,7 +25,14 @@ from adasamp.model import (
 )
 from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.sizing import TestConfig
-from oracles import central_diff, keyed_rows, rel_err, rowwise_problem, set_workers
+from oracles import (
+    blocked_moments,
+    central_diff,
+    keyed_rows,
+    rel_err,
+    rowwise_problem,
+    set_workers,
+)
 
 
 # rows per keyed block of the sample stream
@@ -217,18 +224,17 @@ class TestRowParallelPasses:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_gradient_stats(self, monkeypatch, workers):
+        # every size spans several 2048-row blocks of the moment kernel, so
+        # the merge differs from the two-pass sums in the last bits only
         grads = np.random.default_rng(2).normal(size=(max(PASS_SIZES), 20))
-
-        def stats(n):
-            work = grads[:n].copy()
-            return gradient_stats(work), work
-
-        serial = self.at_workers(monkeypatch, 1, stats)
-        parallel = self.at_workers(monkeypatch, workers, stats)
-        for n, (s1, dev1), (s2, dev2) in zip(PASS_SIZES, serial, parallel):
+        serial = self.at_workers(monkeypatch, 1, lambda n: gradient_stats(grads[:n]))
+        parallel = self.at_workers(monkeypatch, workers, lambda n: gradient_stats(grads[:n]))
+        for n, s1, s2 in zip(PASS_SIZES, serial, parallel):
+            assert np.array_equal(s2.mean_grad, s1.mean_grad)
+            assert s2.variance_stat == s1.variance_stat
             mean, var = two_pass_stats(grads[:n])
-            assert np.array_equal(s2.mean_grad, mean) and s2.variance_stat == var
-            assert s1.variance_stat == var and np.array_equal(dev2, dev1)
+            np.testing.assert_allclose(s1.mean_grad, mean, rtol=1e-13, atol=1e-16)
+            assert s1.variance_stat == pytest.approx(var, rel=1e-13)
 
     def test_every_row_once_with_more_threads_than_cpus(self, monkeypatch):
         # eight threads take chunks from one shared list while the
@@ -452,11 +458,12 @@ class TestGradientStats:
         assert stats.variance_stat == var
         assert stats.n == n
 
-    def test_overwrites_argument_with_deviations(self):
+    def test_only_reads_its_argument(self):
         grads = np.random.default_rng(3).normal(size=(50, 4))
         work = grads.copy()
         stats = gradient_stats(work)
-        assert np.array_equal(work, grads - stats.mean_grad)
+        assert np.array_equal(work, grads)
+        assert stats.variance_stat == two_pass_stats(grads)[1]
 
     def test_read_only_rows_are_copied_not_overwritten(self):
         grads = np.random.default_rng(4).normal(size=(50, 4))
@@ -494,6 +501,88 @@ class TestGradientStats:
         stats = gradient_stats(np.array([[1.0, 2.0]]))
         assert math.isnan(stats.variance_stat)
         assert np.array_equal(stats.mean_grad, [1.0, 2.0])
+
+
+# row counts around the moment kernel's 2048-row blocks: one block, a
+# block and a row, two blocks and a row, and 98 blocks, the last of one row
+MOMENT_SIZES = (2, 2047, 2048, 2049, 4097, 200001)
+
+
+class TestMoments:
+    """The blocked moment kernel ``model._moments`` and the tiled
+    row-vector broadcast ``model._rowwise``."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return np.random.default_rng(9).normal(size=(max(MOMENT_SIZES), 20)) * 3.0 + 1.0
+
+    @pytest.fixture(scope="class")
+    def center(self):
+        return np.random.default_rng(10).normal(size=20) + 1.0
+
+    @pytest.mark.parametrize("n", MOMENT_SIZES)
+    def test_same_bits_at_one_two_and_three_workers(self, monkeypatch, rows, center, n):
+        results = []
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            results.append([model._moments(rows[:n]), model._moments(rows[:n], center)])
+        for got in results[1:]:
+            for (mean, m2), (want_mean, want_m2) in zip(got, results[0]):
+                assert np.array_equal(mean, want_mean) and m2 == want_m2
+
+    @pytest.mark.parametrize("n", MOMENT_SIZES)
+    def test_equals_the_blocked_reference(self, rows, center, n):
+        for c in (None, center):
+            mean, m2 = model._moments(rows[:n], c)
+            want_mean, want_m2 = blocked_moments(rows[:n], c)
+            assert np.array_equal(mean, want_mean) and m2 == want_m2
+
+    @pytest.mark.parametrize("n", MOMENT_SIZES)
+    def test_agrees_with_two_pass_stats(self, rows, n):
+        stats = gradient_stats(rows[:n])
+        mean, var = two_pass_stats(rows[:n])
+        if n <= model._MOMENT_ROWS:  # one block: the two-pass bits
+            assert np.array_equal(stats.mean_grad, mean) and stats.variance_stat == var
+        np.testing.assert_allclose(stats.mean_grad, mean, rtol=1e-13)
+        assert stats.variance_stat == pytest.approx(var, rel=1e-13)
+
+    def test_about_a_center_adds_the_shift_of_the_mean(self, rows, center):
+        mean, m2 = model._moments(rows[:4097])
+        _, about = model._moments(rows[:4097], center)
+        assert about == pytest.approx(m2 + 4097 * float((mean - center) @ (mean - center)), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2049, 4097])
+    def test_only_reads_its_argument(self, rows, center, n):
+        work = rows[:n].copy()
+        frozen = rows[:n].copy()
+        frozen.setflags(write=False)
+        ints = np.arange(n * 3).reshape(n, 3) % 7
+        want_mean, want_m2 = model._moments(rows[:n])
+        for arg in (work, frozen):
+            mean, m2 = model._moments(arg)
+            assert np.array_equal(mean, want_mean) and m2 == want_m2
+            model._moments(arg, center)
+            assert np.array_equal(arg, rows[:n])
+        assert model._moments(ints)[1] == model._moments(ints.astype(float))[1]
+        assert np.array_equal(ints, np.arange(n * 3).reshape(n, 3) % 7)
+
+    @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 640, 1000])
+    def test_tiled_broadcast_gives_the_plain_broadcast_bits(self, n):
+        # n % 128 == 0 has no remainder slab; the other sizes have one
+        assert model._SLAB_ROWS == 128
+        rng = np.random.default_rng(n)
+        m, v = rng.normal(size=(n, 20)), rng.normal(size=20)
+        for op in (np.add, np.subtract, np.multiply):
+            out = np.empty_like(m)
+            model._rowwise(op, m, model._tile(v), out)
+            assert np.array_equal(out, op(m, v))
+        work = m.copy()  # in place, as the basic passes run it
+        model._rowwise(np.add, work, model._tile(v), work)
+        assert np.array_equal(work, m + v)
+        # the basic passes form x - b*xi as (-b)*xi + x
+        model._rowwise(np.multiply, m, model._tile(-v), work)
+        model._rowwise(np.add, work, model._tile(m[0]), work)
+        assert np.array_equal(work, m[0] - v * m)
 
 
 class TestGradientOwnership:

@@ -258,6 +258,19 @@ class TestCommandLine:
         assert capsys.readouterr().err.startswith("error: theta must be positive")
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["alpha", "theta"])
+    def test_a_non_finite_step_or_theta_exits_with_an_error_line(self, tmp_path, capsys, flag, value):
+        # --theta nan used to run with every set at the cap, and --theta inf
+        # with the test off
+        rc = main(["run", "--problem", "basic", "--algorithm", "spgd", f"--{flag}={value}",
+                   "--max-iters", "2", "--output", str(tmp_path / "run.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid configuration field '{flag}': must be positive and finite"
+        )
+        assert not (tmp_path / "run.csv").exists()
+
     def test_compare_failure_exit_code(self, tmp_path, capsys):
         a = tiny_config(tmp_path, output=str(tmp_path / "a.csv"))
         b = tiny_config(tmp_path, seed=3, max_iters=4, output=str(tmp_path / "b.csv"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,16 +135,15 @@ class TestSqpNormTest:
         b = sqp_norm_test(-dirs / alpha, -dirs.mean(axis=0) / alpha, CFG)
         assert a.rho == pytest.approx(b.rho, rel=1e-12)
 
-    def test_overwrites_argument_with_deviations(self):
-        # the SQP driver passes its directions buffer, which it does not
-        # read again, so the test needs no n x d array of its own
+    def test_only_reads_its_argument(self):
+        # the moment kernel works in scratch blocks of its own
         dirs = np.random.default_rng(6).normal(size=(40, 5)) + 0.5
         mean = dirs.mean(axis=0)
         work = dirs.copy()
         want = sqp_norm_test(dirs.copy(), mean, CFG)
         assert sqp_norm_test(work, mean, CFG) == want
-        assert np.array_equal(work, dirs - mean)
-        # a read-only argument is left alone
+        assert np.array_equal(work, dirs)
+        # a read-only argument too
         frozen = dirs.copy()
         frozen.setflags(write=False)
         assert sqp_norm_test(frozen, mean, CFG) == want
@@ -150,7 +151,7 @@ class TestSqpNormTest:
 
     @pytest.mark.parametrize("n", [4097, 12289])
     def test_same_outcome_at_any_worker_count(self, monkeypatch, n):
-        # the deviation pass is split in row chunks across CPUs
+        # the moment kernel's blocks are split across CPUs
         dirs = np.random.default_rng(n).normal(size=(n, 6)) + 0.2
         mean = dirs.mean(axis=0)
         outcomes = []
@@ -158,7 +159,7 @@ class TestSqpNormTest:
             set_workers(monkeypatch, workers)
             work = dirs.copy()
             outcomes.append(sqp_norm_test(work, mean, CFG))
-            assert np.array_equal(work, dirs - mean), workers
+            assert np.array_equal(work, dirs), workers
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
@@ -186,6 +187,13 @@ class TestConfigValidation:
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
             TestConfig(theta=0.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e200])
+    def test_rejects_non_finite_theta_or_square(self, theta):
+        # a NaN theta sent every set to the cap, an infinite one turned the
+        # test off, and 1e200 ** 2 overflowed inside the test
+        with pytest.raises(ValueError, match="theta must be positive and finite"):
+            TestConfig(theta=theta)
 
     def test_rejects_min_below_two(self):
         with pytest.raises(ValueError):

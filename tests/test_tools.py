@@ -1,4 +1,5 @@
-"""The statistics of the distributional gate in ``tools/csv_fingerprints.py``."""
+"""The statistics of the distributional gate in ``tools/csv_fingerprints.py``
+and its per-column report."""
 
 import importlib.util
 from pathlib import Path
@@ -31,3 +32,44 @@ def test_mann_whitney_p_matches_scipy(fingerprints, case):
 
 def test_mann_whitney_p_is_one_when_every_value_ties(fingerprints):
     assert fingerprints.mann_whitney_p([5] * 40, [5] * 40) == 1.0
+
+
+def rows(sizes, objective=1.0, rho=0.5):
+    """A run's rows of the report's columns: iteration, sample_size,
+    cumulative_grad_evals, objective_estimate, error_norm, rho, t_aux."""
+    evals = 0
+    out = []
+    for k, size in enumerate(sizes):
+        evals += size
+        out.append([k, size, evals, objective / (k + 1), None, rho, None])
+    return out
+
+
+def test_column_report_of_identical_runs(fingerprints):
+    text, worst, diverges = fingerprints.column_report(rows([10, 20]), rows([10, 20]))
+    assert text == "sizes agree; grad_evals ratio 1; identical: all columns"
+    assert worst == 0.0 and not diverges
+
+
+def test_column_report_of_a_last_bits_change(fingerprints):
+    new = rows([10, 20], rho=0.5 * (1 + 2**-52))
+    text, worst, diverges = fingerprints.column_report(rows([10, 20]), new)
+    assert "identical: iteration,sample_size,cumulative_grad_evals,objective_estimate," in text
+    assert text.endswith("rho abs=1.11e-16 rel=2.22e-16")
+    assert worst == pytest.approx(2**-52) and not diverges
+
+
+def test_column_report_compares_rows_before_the_sizes_diverge(fingerprints):
+    old, new = rows([10, 20, 40]), rows([10, 30, 60], objective=2.0)
+    text, worst, diverges = fingerprints.column_report(old, new)
+    assert text.startswith("sizes diverge at iteration 1; grad_evals ratio 1.42857;")
+    assert "objective_estimate abs=1 rel=0.5" in text  # row 0 only
+    assert worst == 0.5 and diverges
+
+
+def test_column_report_flags_a_field_empty_or_nan_on_one_side(fingerprints):
+    new = rows([10, 20])
+    new[1][4] = 0.25
+    new[0][5] = float("nan")
+    text, worst, _ = fingerprints.column_report(rows([10, 20]), new)
+    assert "error_norm abs=inf rel=inf; rho abs=inf rel=inf" in text and worst == float("inf")

@@ -2,7 +2,7 @@
 sidecar for every CLI problem x algorithm pair at seeds 0-2, 100 iterations
 each. At that length the sample-bound runs reach 10^4-10^5 samples per
 iteration (basic spgd reaches its 2*10^5 cap), so the batched evaluators
-run at full size. One pass takes about 80 s on two Xeon cores.
+run at full size. One pass took 24 s on two Xeon cores.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/csv_fingerprints.py > after.txt
 
@@ -38,6 +38,22 @@ each side's quartiles and median and the two-sided Mann-Whitney p-value
 and the script exits 0, when every p-value is at least 0.01. One comparison
 took 17 minutes on two Xeon cores.
 
+Below each pair's p-values, one line per seed compares the two runs column
+by column, for a change that only moves last bits (such as a new summation
+order): the first iteration at which ``sample_size`` differs, if any; the
+ratio new/old of the final ``cumulative_grad_evals``; and, over the rows
+before that iteration, the columns that are identical and the max absolute
+and max relative difference of the others. A closing line gives the largest
+relative difference of any column while the sizes agree, against the 1e-9
+of a last-bits change (a change that draws other samples differs from the
+first row on), and the number of runs whose sizes diverge.
+
+Every pair runs the README's flags for its algorithm, except basic
+cvar-extended, which runs at ``--theta 0.01`` (``PAIR_FLAGS``): at theta 1.5
+its variance test passes at 10 rows on every gate seed, whereas at 0.01 its
+sets exceed two 2048-row blocks from iteration 1 on at seeds 0-2, so that
+the pair covers the blocked passes and the moment kernel's merge.
+
 Uses the standard library and ``adasamp`` only.
 """
 
@@ -56,7 +72,7 @@ import tempfile
 
 import adasamp
 from adasamp import cli
-from adasamp.records import csv_body, read_csv
+from adasamp.records import CSV_COLUMNS, csv_body, read_csv
 
 SEEDS = (0, 1, 2)
 MAX_ITERS = 100
@@ -71,6 +87,15 @@ ALGORITHM_FLAGS = {
     "cvar-nested": ("--beta", "0.9", "--epsilon", "0.1", "--alpha", "0.2", "--theta", "4.0"),
     "sqp": (),
 }
+# Flags of single pairs, after the algorithm's (the later flag wins); see
+# the module docstring.
+PAIR_FLAGS = {("basic", "cvar-extended"): ("--theta", "0.01")}
+# The columns the per-run report compares: all but the wall clock.
+COLUMNS = CSV_COLUMNS[:-1]
+SIZE = COLUMNS.index("sample_size")
+GRAD_EVALS = COLUMNS.index("cumulative_grad_evals")
+OBJECTIVE = COLUMNS.index("objective_estimate")
+LAST_BITS_REL = 1e-9
 
 
 def sha256(text: str) -> str:
@@ -89,7 +114,7 @@ def run(problem: str, algorithm: str, seed: int, workdir: str) -> str:
     """Run one CLI pair at one seed; return the path of its CSV log."""
     out = os.path.join(workdir, f"{problem}_{algorithm}_{seed}.csv")
     argv = ["run", "--problem", problem, "--algorithm", algorithm,
-            *ALGORITHM_FLAGS[algorithm],
+            *ALGORITHM_FLAGS[algorithm], *PAIR_FLAGS.get((problem, algorithm), ()),
             "--max-iters", str(MAX_ITERS), "--seed", str(seed), "--output", out]
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -104,15 +129,46 @@ def fingerprint(problem: str, algorithm: str, seed: int, workdir: str) -> str:
 
 
 def finals(problem: str, algorithm: str) -> int:
-    """Print, as one JSON list, the final ``[cumulative_grad_evals,
-    objective_estimate]`` of the pair at every seed of ``COMPARE_SEEDS``."""
-    rows = []
+    """Print, as one JSON list, the records of the pair at every seed of
+    ``COMPARE_SEEDS``: per seed a list of rows of the ``COLUMNS`` values
+    (null for an empty field). The gate reads the finals from the last rows."""
+    runs = []
     with tempfile.TemporaryDirectory() as workdir:
         for seed in COMPARE_SEEDS:
-            last = read_csv(run(problem, algorithm, seed, workdir))[-1]
-            rows.append([last.cumulative_grad_evals, last.objective_estimate])
-    print(json.dumps(rows))
+            records = read_csv(run(problem, algorithm, seed, workdir))
+            runs.append([[getattr(rec, col) for col in COLUMNS] for rec in records])
+    print(json.dumps(runs))
     return 0
+
+
+def _same(a, b) -> bool:
+    return a == b or (a != a and b != b)  # two empty fields, or two NaNs
+
+
+def column_report(old, new):
+    """One seed's runs compared column by column: returns the report text
+    (see the module docstring), the largest relative difference of any
+    column while the sizes agree, and whether the sizes diverge."""
+    common = min(len(old), len(new))
+    diverge = next((i for i in range(common) if old[i][SIZE] != new[i][SIZE]), None)
+    agree = common if diverge is None else diverge
+    identical, parts, worst = [], [], 0.0
+    for j, name in enumerate(COLUMNS):
+        pairs = [(a[j], b[j]) for a, b in zip(old[:agree], new[:agree]) if not _same(a[j], b[j])]
+        if not pairs:
+            identical.append(name)
+            continue
+        abs_d = rel_d = math.inf  # a field empty or NaN on one side only
+        if all(v is not None and v == v for pair in pairs for v in pair):
+            abs_d = max(abs(a - b) for a, b in pairs)
+            rel_d = max(abs(a - b) / max(abs(a), abs(b)) for a, b in pairs)
+        worst = max(worst, rel_d)
+        parts.append(f"{name} abs={abs_d:.3g} rel={rel_d:.3g}")
+    sizes = "sizes agree" if diverge is None else f"sizes diverge at iteration {old[diverge][0]}"
+    ratio = new[-1][GRAD_EVALS] / old[-1][GRAD_EVALS]
+    same = "all columns" if not parts else ",".join(identical) or "none"
+    text = f"{sizes}; grad_evals ratio {ratio:.6g}; identical: {same}"
+    return "; ".join([text, *parts]), worst, diverge is not None
 
 
 def mann_whitney_p(a, b) -> float:
@@ -148,7 +204,7 @@ def compare(old_src: str) -> int:
     new_src = os.path.dirname(os.path.dirname(os.path.abspath(adasamp.__file__)))
     print(f"old: {os.path.abspath(old_src)}  new: {new_src}  seeds: "
           f"{COMPARE_SEEDS.start}-{COMPARE_SEEDS.stop - 1}  (q1/median/q3)", flush=True)
-    passed = True
+    passed, worst, diverged, runs = True, 0.0, 0, 0
     for problem in cli.PROBLEMS:
         for algorithm in cli.ALGORITHMS:
             procs = []
@@ -165,13 +221,22 @@ def compare(old_src: str) -> int:
                     raise SystemExit(f"{problem} {algorithm}: a run exited with {proc.returncode}")
                 sides.append(json.loads(stdout.strip().splitlines()[-1]))
             old, new = sides
-            for col, name in enumerate(("grad_evals", "objective")):
-                a = [row[col] for row in old]
-                b = [row[col] for row in new]
+            for col, name in ((GRAD_EVALS, "grad_evals"), (OBJECTIVE, "objective")):
+                a = [run_rows[-1][col] for run_rows in old]
+                b = [run_rows[-1][col] for run_rows in new]
                 p = mann_whitney_p(a, b)
                 passed &= p >= GATE_P
                 print(f"{problem} {algorithm} {name}: old {quartiles(a)} new {quartiles(b)} "
                       f"p={p:.3g}{'' if p >= GATE_P else ' FAIL'}", flush=True)
+            for seed, old_rows, new_rows in zip(COMPARE_SEEDS, old, new):
+                text, rel, diverges = column_report(old_rows, new_rows)
+                worst = max(worst, rel)
+                diverged += diverges
+                runs += 1
+                print(f"  {problem} {algorithm} seed={seed}: {text}", flush=True)
+    print(f"columns while the sizes agree: max rel difference {worst:.3g} "
+          f"({'within' if worst <= LAST_BITS_REL else 'above'} {LAST_BITS_REL:g}); "
+          f"sizes diverge in {diverged} of {runs} runs")
     print(f"gate: {'pass' if passed else 'FAIL'} (every p >= {GATE_P})")
     return 0 if passed else 1
 
