@@ -35,7 +35,7 @@ from .model import (
 )
 from .records import RunRecord
 from .risk import ExtendedProblem, expit, smoothed_cvar
-from .sizing import TestConfig, norm_test, sqp_norm_test
+from .sizing import TestConfig, norm_test
 
 __all__ = [
     "OptimizerConfig",
@@ -282,46 +282,51 @@ def run_sqp_adaptive(
     """Adaptive-sampling SQP for min E[f(x; xi)] s.t. G(x) = 0.
 
     Each iteration linearizes G at x_k, forms per-sample step directions in
-    closed form, and runs the direction-variance test. On failure the same
-    sample set is augmented with the ceil(rho' |S|) - |S| draws that follow it
-    on its stream (by prefix stability, the set a fresh draw of that size
-    would give) and the step is recomputed; only once the test passes does
-    the iterate advance. If the sample cap is reached while the test still
-    fails, the run terminates with status "sample-budget-exhausted".
+    closed form, and runs the norm test on their ``gradient_stats``, with
+    the mean direction as the reduced gradient (the test of
+    ``sqp_norm_test``). On failure the same sample set is augmented with the
+    ceil(rho' |S|) - |S| draws that follow it on its stream (by prefix
+    stability, the set a fresh draw of that size would give); only the new
+    rows are evaluated, their directions appended, and the step recomputed.
+    Only once the test passes does the iterate advance. If the sample cap is
+    reached while the test still fails, the run terminates with status
+    "sample-budget-exhausted".
     """
 
     def step(x, sample_set, k):
-        grads = batch_grads(problem, x, sample_set.realizations)
+        # the linearization is fixed within the iteration, so each row's
+        # direction is formed once and its gradient is not kept
         G_val = float(constraint.value(x))
         grad_G = np.asarray(constraint.grad(x), dtype=float)
+
+        def directions(xis):
+            return sqp_directions(batch_grads(problem, x, xis), grad_G, G_val, cfg.alpha)
+
+        dirs = directions(sample_set.realizations)
         rounds = 0
         rho = None
         status = None
         while True:
-            dirs = sqp_directions(grads, grad_G, G_val, cfg.alpha)
-            d_mean = dirs.mean(axis=0)
+            stats = gradient_stats(dirs)
+            d_mean = stats.mean_grad
             # per-sample reduced gradients are the directions scaled by
-            # -1/alpha; testing them keeps the stationarity guard on the
-            # same scale as the projected drivers'
+            # -1/alpha (rho is the same on either scale); the guard reads
+            # them on the projected drivers' scale
             reduced_grad = -d_mean / cfg.alpha
             if _stationary(reduced_grad, x):
                 status = STATUS_STATIONARY
                 break
             if not cfg.adaptive:
                 break
-            # the test only reads the reduced gradients, which reuse the
-            # buffer of dirs: dirs is not read again once d_mean is taken
-            outcome = sqp_norm_test(np.divide(dirs, -cfg.alpha, out=dirs), reduced_grad, cfg.test)
+            outcome = norm_test(stats, d_mean, cfg.test)
             rho = outcome.rho
             if outcome.passed:
                 break
-            if outcome.next_size <= grads.shape[0]:
+            if outcome.next_size <= stats.n:
                 status = STATUS_SAMPLE_BUDGET  # already at the cap, test still failing
                 break
-            del dirs  # freed before the set and its gradients grow
             sample_set = extend_samples(problem, sample_set, outcome.next_size)
-            new_tail = sample_set.realizations[grads.shape[0]:]
-            grads = np.vstack([grads, batch_grads(problem, x, new_tail)])
+            dirs = np.concatenate([dirs, directions(sample_set.realizations[stats.n:])])
             rounds += 1
 
         objective = sample_objective(problem, x, sample_set)
@@ -381,8 +386,8 @@ def run_nested_quantile(
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
 
     def step(x, sample_set, k):
         fs = batch_values(problem, x, sample_set.realizations)

@@ -79,8 +79,8 @@ class ExperimentConfig:
                     "cvar algorithms need 0 < beta < 1 "
                     "(beta = 0 is plain expectation: use spgd)",
                 )
-            if self.epsilon <= 0:
-                raise ConfigError("epsilon", "must be positive")
+            if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+                raise ConfigError("epsilon", "must be positive and finite")
         if self.s0 < 2 and self.algorithm != "spgd-fixed":
             raise ConfigError("s0", "must be >= 2 (the variance test needs two samples)")
         if self.max_iters < 1:

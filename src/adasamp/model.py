@@ -361,19 +361,19 @@ def sample_objective(problem, x, sample_set: SampleSet) -> float:
     return float(np.mean(batch_values(problem, x, sample_set.realizations)))
 
 
-def _moments(rows: np.ndarray, center: Optional[np.ndarray] = None):
+def _moments(rows: np.ndarray):
     """(mean, M2) of n >= 1 rows, where M2 = sum_i ||rows_i - c||^2 about
-    the rows' mean c, or about ``center`` when one is given; M2 is exactly
-    0.0 when n >= 2 and all rows are equal. ``rows`` is only read.
+    the rows' mean c; M2 is exactly 0.0 when n >= 2 and all rows are equal.
+    ``rows`` is only read.
 
     Block b of ``_MOMENT_ROWS`` rows forms its column sum s_b and its M2_b
-    about c_b (its own mean s_b / n_b, or ``center``) in a scratch buffer of
-    its chunk, under ``_in_parallel`` from two blocks on. The calling thread
-    merges the blocks in block order (Chan, Golub and LeVeque 1979): the
-    mean is sum_b s_b / n and M2 = sum_b M2_b + sum_b n_b ||c_b - c||^2. So
-    the bits do not depend on the CPU count, and one block of two or more
-    columns gives the two-pass bits: ``mean(axis=0)`` and one ``einsum``
-    over the deviations.
+    about its own mean c_b = s_b / n_b in a scratch buffer of its chunk,
+    under ``_in_parallel`` from two blocks on. The calling thread merges the
+    blocks in block order (Chan, Golub and LeVeque 1979): the mean is
+    sum_b s_b / n and M2 = sum_b M2_b + sum_b n_b ||c_b - c||^2. So the bits
+    do not depend on the CPU count, and one block of two or more columns
+    gives the two-pass bits: ``mean(axis=0)`` and one ``einsum`` over the
+    deviations.
     """
     rows = np.asarray(rows, dtype=float)
     n, d = rows.shape
@@ -389,7 +389,7 @@ def _moments(rows: np.ndarray, center: Optional[np.ndarray] = None):
             block = rows[lo : min(lo + _MOMENT_ROWS, part.stop)]
             dev = buf[: block.shape[0]]
             np.einsum("ij->j", block, out=sums[b])
-            centers[b] = tile[:] = sums[b] / block.shape[0] if center is None else center
+            centers[b] = tile[:] = sums[b] / block.shape[0]
             _rowwise(np.subtract, block, tile, dev)
             m2[b] = np.einsum("ij,ij->", dev, dev)
 
@@ -400,14 +400,15 @@ def _moments(rows: np.ndarray, center: Optional[np.ndarray] = None):
         # two-row check skips the full scan whenever rows 0 and 1 differ
         return mean, 0.0
     counts = np.minimum(n - _MOMENT_ROWS * np.arange(m2.size), _MOMENT_ROWS)
-    spread = np.square(centers - (mean if center is None else center)).sum(axis=1) * counts
+    spread = np.square(centers - mean).sum(axis=1) * counts
     return mean, sum(m2.tolist()) + sum(spread.tolist())
 
 
 def gradient_stats(grads: np.ndarray) -> GradientStats:
-    """Statistics of a stack of per-sample gradients, from ``_moments``:
-    the statistic is M2 / ((n - 1) n), by the kernel ``sqp_norm_test``
-    shares. ``grads`` is only read."""
+    """Statistics of a stack of per-sample gradients, or of the SQP step's
+    per-sample directions (an augmentation round forms those of its new
+    rows only), from ``_moments``: the statistic is M2 / ((n - 1) n).
+    ``grads`` is only read."""
     mean, m2 = _moments(grads)
     n = len(grads)
     return GradientStats(mean, m2 / ((n - 1) * n) if n >= 2 else math.nan, n)

@@ -40,8 +40,8 @@ def smooth_plus(y, epsilon: float):
     same function on both branches but never overflows. Total function;
     satisfies max(y, 0) <= result <= max(y, 0) + epsilon*ln 2.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     y = np.asarray(y, dtype=float)
     out = np.maximum(y, 0.0) + epsilon * np.log1p(np.exp(-np.abs(y) / epsilon))
     return float(out) if out.ndim == 0 else out
@@ -60,8 +60,8 @@ def quantile_solve(values, beta: float, epsilon: float) -> float:
         raise ValueError("empty value list")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     # min and max propagate NaN, so these two cover every entry
     v_min, v_max = float(values.min()), float(values.max())
     if not (math.isfinite(v_min) and math.isfinite(v_max)):
@@ -113,8 +113,8 @@ class ExtendedProblem:
     def __init__(self, base: StochasticProblem, beta: float, epsilon: float):
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie strictly in (0, 1)")
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         self.base = base
         self.beta = float(beta)
         self.epsilon = float(epsilon)

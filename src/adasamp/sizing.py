@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GradientStats, _moments
+from .model import GradientStats, gradient_stats
 
 __all__ = [
     "TestConfig",
@@ -86,36 +86,14 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
 
 
 def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
-    """Direction-variance test for the SQP step.
-
-    rho = sum_i ||d_i - d_mean||^2 / (theta^2 (n-1) n ||d_mean||^2). Because
-    the per-sample reduced gradients are the directions scaled by -1/alpha,
-    the ratio is identical whether directions or reduced gradients are passed.
-    An exactly zero mean direction and a non-finite statistic or squared
-    norm are rejected, as in ``norm_test``.
-
-    The numerator is the M2 of ``gradient_stats``'s kernel
-    (``model._moments``, in blocks across CPUs), about ``mean_dir``.
-    ``per_sample_dirs`` is only read.
+    """Direction-variance test for the SQP step: ``norm_test`` on the
+    statistics of the per-sample directions, with ``mean_dir`` as the
+    reduced gradient, so rho = sum_i ||d_i - d_mean||^2 / (theta^2 (n-1) n
+    ||mean_dir||^2) about the directions' own mean d_mean. rho does not
+    change when both are scaled alike, so directions and reduced gradients
+    (the directions times -1/alpha) give the same outcome. The SQP driver
+    runs this test on the directions it keeps, to which an augmentation
+    round appends those of the new rows only. ``per_sample_dirs`` is only
+    read.
     """
-    dirs = np.asarray(per_sample_dirs, dtype=float)
-    mean_dir = np.asarray(mean_dir, dtype=float)
-    n = dirs.shape[0]
-    if n < 2:
-        raise ValueError("direction-variance test needs at least two samples")
-    m_sq = float(mean_dir @ mean_dir)
-    if not math.isfinite(m_sq):
-        raise ValueError(
-            f"direction-variance test got a non-finite squared mean-direction norm ({m_sq}): "
-            f"a direction is not finite or overflows"
-        )
-    if m_sq == 0.0:
-        raise ValueError("direction-variance test needs a nonzero mean direction")
-    num = _moments(dirs, mean_dir)[1]
-    if not math.isfinite(num):
-        raise ValueError(
-            f"direction-variance test got a non-finite statistic ({num}) "
-            f"from {n} samples: a direction is not finite or overflows"
-        )
-    rho = num / (cfg.theta**2 * (n - 1) * n * m_sq)
-    return _outcome(rho, n, cfg)
+    return norm_test(gradient_stats(per_sample_dirs), mean_dir, cfg)

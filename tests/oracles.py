@@ -145,12 +145,12 @@ def keyed_rows(seed, iteration, n, draw):
     return np.concatenate(blocks)
 
 
-def blocked_moments(rows, center=None):
+def blocked_moments(rows):
     """``model._moments`` written out: (mean, M2) from blocks of
     ``model._MOMENT_ROWS`` rows, each with its column sum s_b and its
-    deviation sum M2_b about c_b (its mean, or ``center``), merged in block
-    order as mean = sum_b s_b / n and M2 = sum_b M2_b + sum_b n_b ||c_b -
-    c||^2 about c (the mean, or ``center``); M2 is 0.0 for identical rows."""
+    deviation sum M2_b about its mean c_b, merged in block order as mean =
+    sum_b s_b / n and M2 = sum_b M2_b + sum_b n_b ||c_b - mean||^2; M2 is
+    0.0 for identical rows."""
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[0]
     size = model._MOMENT_ROWS
@@ -162,13 +162,12 @@ def blocked_moments(rows, center=None):
     mean = total / n
     if n >= 2 and np.all(rows == rows[0]):
         return mean, 0.0
-    c = mean if center is None else center
     m2 = spread = 0.0
     for block, s in zip(blocks, sums):
-        c_b = s / len(block) if center is None else center
+        c_b = s / len(block)
         dev = block - c_b
         m2 += np.einsum("ij,ij->", dev, dev)
-        spread += ((c_b - c) ** 2).sum() * len(block)
+        spread += ((c_b - mean) ** 2).sum() * len(block)
     return mean, m2 + spread
 
 

@@ -255,6 +255,26 @@ class TestRunSqpAdaptive:
             r.sample_size for r in res.records
         )
 
+    def test_recorded_rho_is_the_direction_variance_of_the_final_set(self):
+        problem = noisy_linear(np.array([1.0, 0.5, -0.3, 0.8, 0.2]), 0.05)
+        sphere = EqualityConstraint(
+            value=lambda x: float(x @ x) - 1.0, grad=lambda x: 2.0 * np.asarray(x, float)
+        )
+        c = cfg(alpha=0.1, iters=60, theta=1.0, s0=8, seed=2, test_kw={"max_sample_size": 20000})
+        res = run_sqp_adaptive(problem, sphere, c, np.full(5, 0.7))
+        assert sum(res.extras["augment_rounds"]) > 0
+        for k, (rec, x) in enumerate(zip(res.records, res.iterates)):
+            # by prefix stability the augmented set is the fresh draw of its size
+            grads = -draw_samples(problem, rec.sample_size, k, c.seed).realizations
+            G_val, grad_G = sphere.value(x), sphere.grad(x)
+            lams = (G_val - c.alpha * grads @ grad_G) / (c.alpha * float(grad_G @ grad_G))
+            dirs = -c.alpha * (grads + lams[:, None] * grad_G)
+            mean = dirs.mean(axis=0)
+            n = len(dirs)
+            num = sum(float((d - mean) @ (d - mean)) for d in dirs)
+            want = num / (c.test.theta**2 * (n - 1) * n * float(mean @ mean))
+            assert rec.rho == pytest.approx(want, rel=1e-12), k
+
     def test_sample_cap_exhaustion_terminates_with_status(self):
         problem = noisy_linear(np.array([1.0, 0.4]), 1.0)
         sphere = EqualityConstraint(
@@ -487,7 +507,7 @@ class TestEvaluatorCounts:
         assert rows == {"value": cum, "grad": cum}
         assert len(projections) == len(res.records) + 1
 
-    def test_sqp_with_augmentation(self, projections):
+    def test_sqp_with_augmentation(self, projections, monkeypatch):
         problem, rows = counting(noisy_linear(np.array([1.0, 0.5, -0.3, 0.8, 0.2]), 0.05))
         sphere = EqualityConstraint(
             value=lambda x: float(x @ x) - 1.0, grad=lambda x: 2.0 * np.asarray(x, float)
@@ -496,8 +516,18 @@ class TestEvaluatorCounts:
             alpha=0.1, iters=120, theta=1.0, s0=8, seed=2,
             test_kw={"max_sample_size": 20000},
         )
+        direction_rows = []
+        original = algorithms.sqp_directions
+
+        def counted(grads, *args):
+            direction_rows.append(len(grads))
+            return original(grads, *args)
+
+        monkeypatch.setattr(algorithms, "sqp_directions", counted)
         res = run_sqp_adaptive(problem, sphere, run_cfg, np.full(5, 0.7))
         assert sum(res.extras["augment_rounds"]) > 0
         cum = res.state.cumulative_grad_evals
         assert rows == {"value": cum, "grad": cum}
+        # each sampled row's direction is formed once, augmentation included
+        assert sum(direction_rows) == cum
         assert projections == []

@@ -516,26 +516,20 @@ class TestMoments:
     def rows(self):
         return np.random.default_rng(9).normal(size=(max(MOMENT_SIZES), 20)) * 3.0 + 1.0
 
-    @pytest.fixture(scope="class")
-    def center(self):
-        return np.random.default_rng(10).normal(size=20) + 1.0
-
     @pytest.mark.parametrize("n", MOMENT_SIZES)
-    def test_same_bits_at_one_two_and_three_workers(self, monkeypatch, rows, center, n):
+    def test_same_bits_at_one_two_and_three_workers(self, monkeypatch, rows, n):
         results = []
         for workers in (1, 2, 3):
             set_workers(monkeypatch, workers)
-            results.append([model._moments(rows[:n]), model._moments(rows[:n], center)])
-        for got in results[1:]:
-            for (mean, m2), (want_mean, want_m2) in zip(got, results[0]):
-                assert np.array_equal(mean, want_mean) and m2 == want_m2
+            results.append(model._moments(rows[:n]))
+        for mean, m2 in results[1:]:
+            assert np.array_equal(mean, results[0][0]) and m2 == results[0][1]
 
     @pytest.mark.parametrize("n", MOMENT_SIZES)
-    def test_equals_the_blocked_reference(self, rows, center, n):
-        for c in (None, center):
-            mean, m2 = model._moments(rows[:n], c)
-            want_mean, want_m2 = blocked_moments(rows[:n], c)
-            assert np.array_equal(mean, want_mean) and m2 == want_m2
+    def test_equals_the_blocked_reference(self, rows, n):
+        mean, m2 = model._moments(rows[:n])
+        want_mean, want_m2 = blocked_moments(rows[:n])
+        assert np.array_equal(mean, want_mean) and m2 == want_m2
 
     @pytest.mark.parametrize("n", MOMENT_SIZES)
     def test_agrees_with_two_pass_stats(self, rows, n):
@@ -546,13 +540,8 @@ class TestMoments:
         np.testing.assert_allclose(stats.mean_grad, mean, rtol=1e-13)
         assert stats.variance_stat == pytest.approx(var, rel=1e-13)
 
-    def test_about_a_center_adds_the_shift_of_the_mean(self, rows, center):
-        mean, m2 = model._moments(rows[:4097])
-        _, about = model._moments(rows[:4097], center)
-        assert about == pytest.approx(m2 + 4097 * float((mean - center) @ (mean - center)), rel=1e-12)
-
     @pytest.mark.parametrize("n", [2049, 4097])
-    def test_only_reads_its_argument(self, rows, center, n):
+    def test_only_reads_its_argument(self, rows, n):
         work = rows[:n].copy()
         frozen = rows[:n].copy()
         frozen.setflags(write=False)
@@ -561,7 +550,6 @@ class TestMoments:
         for arg in (work, frozen):
             mean, m2 = model._moments(arg)
             assert np.array_equal(mean, want_mean) and m2 == want_m2
-            model._moments(arg, center)
             assert np.array_equal(arg, rows[:n])
         assert model._moments(ints)[1] == model._moments(ints.astype(float))[1]
         assert np.array_equal(ints, np.arange(n * 3).reshape(n, 3) % 7)

@@ -271,6 +271,19 @@ class TestCommandLine:
         )
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("algorithm", ["cvar-extended", "cvar-nested"])
+    def test_a_non_finite_epsilon_exits_with_an_error_line(self, tmp_path, capsys, algorithm, value):
+        # --epsilon inf used to complete with every objective estimate inf,
+        # and --epsilon nan to fail as a non-finite sampled gradient
+        rc = main(["run", "--problem", "basic", "--algorithm", algorithm, f"--epsilon={value}",
+                   "--max-iters", "3", "--output", str(tmp_path / "run.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid configuration field 'epsilon': must be positive and finite"
+        )
+        assert not (tmp_path / "run.csv").exists()
+
     def test_compare_failure_exit_code(self, tmp_path, capsys):
         a = tiny_config(tmp_path, output=str(tmp_path / "a.csv"))
         b = tiny_config(tmp_path, seed=3, max_iters=4, output=str(tmp_path / "b.csv"))

@@ -300,3 +300,20 @@ class TestExtendProblem:
             weight = expit((f - t) / 0.1) / (1.0 - 0.5)
             single.append(np.concatenate([weight * 2.0 * a * (x - b * xi), [1.0 - weight]]))
         np.testing.assert_allclose(many, np.array(single), rtol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_every_entry_point_rejects_a_non_finite_epsilon(eps):
+    # an infinite epsilon used to run to completion with every objective
+    # estimate inf, and a NaN one to fail as a non-finite gradient
+    problem, cset = make_basic_example(7)
+    cfg = OptimizerConfig(alpha=0.025, max_iters=2, test=TestConfig(theta=1.0))
+    entry_points = [
+        lambda: smooth_plus(np.array([-1.0, 2.0]), eps),
+        lambda: quantile_solve(np.array([1.0, 2.0, 3.0]), 0.5, eps),
+        lambda: ExtendedProblem(problem, 0.5, eps),
+        lambda: run_nested_quantile(problem, cset, 0.5, eps, cfg, np.ones(20)),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            call()

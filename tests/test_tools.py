@@ -46,22 +46,32 @@ def rows(sizes, objective=1.0, rho=0.5):
 
 
 def test_column_report_of_identical_runs(fingerprints):
-    text, worst, diverges = fingerprints.column_report(rows([10, 20]), rows([10, 20]))
+    text, worst, rho_diff, diverges = fingerprints.column_report(rows([10, 20]), rows([10, 20]))
     assert text == "sizes agree; grad_evals ratio 1; identical: all columns"
-    assert worst == 0.0 and not diverges
+    assert worst == 0.0 and rho_diff == 0.0 and not diverges
 
 
 def test_column_report_of_a_last_bits_change(fingerprints):
     new = rows([10, 20], rho=0.5 * (1 + 2**-52))
-    text, worst, diverges = fingerprints.column_report(rows([10, 20]), new)
+    text, worst, rho_diff, diverges = fingerprints.column_report(rows([10, 20]), new)
     assert "identical: iteration,sample_size,cumulative_grad_evals,objective_estimate," in text
     assert text.endswith("rho abs=1.11e-16 rel=2.22e-16")
-    assert worst == pytest.approx(2**-52) and not diverges
+    # rho is outside the 1e-9 verdict, and compared against max(|rho|, 1)
+    assert worst == 0.0 and rho_diff == pytest.approx(2**-53) and not diverges
+
+
+def test_column_report_measures_a_tiny_rho_against_one(fingerprints):
+    # rows that agree to rounding give a rho of rounding noise: 100% apart
+    # relative to itself, 1e-28 relative to the test's threshold
+    text, worst, rho_diff, _ = fingerprints.column_report(rows([10, 20], rho=1e-28),
+                                                          rows([10, 20], rho=2e-28))
+    assert text.endswith("rho abs=1e-28 rel=0.5")
+    assert worst == 0.0 and rho_diff == pytest.approx(1e-28)
 
 
 def test_column_report_compares_rows_before_the_sizes_diverge(fingerprints):
     old, new = rows([10, 20, 40]), rows([10, 30, 60], objective=2.0)
-    text, worst, diverges = fingerprints.column_report(old, new)
+    text, worst, _, diverges = fingerprints.column_report(old, new)
     assert text.startswith("sizes diverge at iteration 1; grad_evals ratio 1.42857;")
     assert "objective_estimate abs=1 rel=0.5" in text  # row 0 only
     assert worst == 0.5 and diverges
@@ -71,5 +81,6 @@ def test_column_report_flags_a_field_empty_or_nan_on_one_side(fingerprints):
     new = rows([10, 20])
     new[1][4] = 0.25
     new[0][5] = float("nan")
-    text, worst, _ = fingerprints.column_report(rows([10, 20]), new)
+    text, worst, rho_diff, _ = fingerprints.column_report(rows([10, 20]), new)
     assert "error_norm abs=inf rel=inf; rho abs=inf rel=inf" in text and worst == float("inf")
+    assert rho_diff == float("inf")

@@ -44,9 +44,13 @@ order): the first iteration at which ``sample_size`` differs, if any; the
 ratio new/old of the final ``cumulative_grad_evals``; and, over the rows
 before that iteration, the columns that are identical and the max absolute
 and max relative difference of the others. A closing line gives the largest
-relative difference of any column while the sizes agree, against the 1e-9
-of a last-bits change (a change that draws other samples differs from the
-first row on), and the number of runs whose sizes diverge.
+relative difference of the objective, error and t columns while the sizes
+agree, against the 1e-9 of a last-bits change (a change that draws other
+samples differs from the first row on), and the number of runs whose sizes
+diverge. A last line gives rho's largest difference while the sizes agree,
+relative to max(|rho|, 1), the test's threshold: a rho far below 1, such as
+the 1e-27 of rows that agree to rounding, is itself rounding noise, and its
+plain relative difference says nothing.
 
 Every pair runs the README's flags for its algorithm, except basic
 cvar-extended, which runs at ``--theta 0.01`` (``PAIR_FLAGS``): at theta 1.5
@@ -95,6 +99,9 @@ COLUMNS = CSV_COLUMNS[:-1]
 SIZE = COLUMNS.index("sample_size")
 GRAD_EVALS = COLUMNS.index("cumulative_grad_evals")
 OBJECTIVE = COLUMNS.index("objective_estimate")
+RHO = COLUMNS.index("rho")
+# the columns the 1e-9 verdict covers
+GATED = tuple(COLUMNS.index(name) for name in ("objective_estimate", "error_norm", "t_aux"))
 LAST_BITS_REL = 1e-9
 
 
@@ -147,28 +154,33 @@ def _same(a, b) -> bool:
 
 def column_report(old, new):
     """One seed's runs compared column by column: returns the report text
-    (see the module docstring), the largest relative difference of any
-    column while the sizes agree, and whether the sizes diverge."""
+    (see the module docstring), the largest relative difference of the
+    ``GATED`` columns and the largest difference of rho relative to
+    max(|rho|, 1) while the sizes agree, and whether the sizes diverge."""
     common = min(len(old), len(new))
     diverge = next((i for i in range(common) if old[i][SIZE] != new[i][SIZE]), None)
     agree = common if diverge is None else diverge
-    identical, parts, worst = [], [], 0.0
+    identical, parts, worst, rho_diff = [], [], 0.0, 0.0
     for j, name in enumerate(COLUMNS):
         pairs = [(a[j], b[j]) for a, b in zip(old[:agree], new[:agree]) if not _same(a[j], b[j])]
         if not pairs:
             identical.append(name)
             continue
-        abs_d = rel_d = math.inf  # a field empty or NaN on one side only
+        abs_d = rel_d = floored = math.inf  # a field empty or NaN on one side only
         if all(v is not None and v == v for pair in pairs for v in pair):
             abs_d = max(abs(a - b) for a, b in pairs)
             rel_d = max(abs(a - b) / max(abs(a), abs(b)) for a, b in pairs)
-        worst = max(worst, rel_d)
+            floored = max(abs(a - b) / max(abs(a), abs(b), 1.0) for a, b in pairs)
+        if j in GATED:
+            worst = max(worst, rel_d)
+        elif j == RHO:
+            rho_diff = floored
         parts.append(f"{name} abs={abs_d:.3g} rel={rel_d:.3g}")
     sizes = "sizes agree" if diverge is None else f"sizes diverge at iteration {old[diverge][0]}"
     ratio = new[-1][GRAD_EVALS] / old[-1][GRAD_EVALS]
     same = "all columns" if not parts else ",".join(identical) or "none"
     text = f"{sizes}; grad_evals ratio {ratio:.6g}; identical: {same}"
-    return "; ".join([text, *parts]), worst, diverge is not None
+    return "; ".join([text, *parts]), worst, rho_diff, diverge is not None
 
 
 def mann_whitney_p(a, b) -> float:
@@ -204,7 +216,7 @@ def compare(old_src: str) -> int:
     new_src = os.path.dirname(os.path.dirname(os.path.abspath(adasamp.__file__)))
     print(f"old: {os.path.abspath(old_src)}  new: {new_src}  seeds: "
           f"{COMPARE_SEEDS.start}-{COMPARE_SEEDS.stop - 1}  (q1/median/q3)", flush=True)
-    passed, worst, diverged, runs = True, 0.0, 0, 0
+    passed, worst, rho_worst, diverged, runs = True, 0.0, 0.0, 0, 0
     for problem in cli.PROBLEMS:
         for algorithm in cli.ALGORITHMS:
             procs = []
@@ -229,14 +241,16 @@ def compare(old_src: str) -> int:
                 print(f"{problem} {algorithm} {name}: old {quartiles(a)} new {quartiles(b)} "
                       f"p={p:.3g}{'' if p >= GATE_P else ' FAIL'}", flush=True)
             for seed, old_rows, new_rows in zip(COMPARE_SEEDS, old, new):
-                text, rel, diverges = column_report(old_rows, new_rows)
-                worst = max(worst, rel)
+                text, rel, rho_diff, diverges = column_report(old_rows, new_rows)
+                worst, rho_worst = max(worst, rel), max(rho_worst, rho_diff)
                 diverged += diverges
                 runs += 1
                 print(f"  {problem} {algorithm} seed={seed}: {text}", flush=True)
-    print(f"columns while the sizes agree: max rel difference {worst:.3g} "
+    gated = ", ".join(COLUMNS[j] for j in GATED)
+    print(f"{gated} while the sizes agree: max rel difference {worst:.3g} "
           f"({'within' if worst <= LAST_BITS_REL else 'above'} {LAST_BITS_REL:g}); "
           f"sizes diverge in {diverged} of {runs} runs")
+    print(f"rho while the sizes agree: max difference {rho_worst:.3g} relative to max(|rho|, 1)")
     print(f"gate: {'pass' if passed else 'FAIL'} (every p >= {GATE_P})")
     return 0 if passed else 1
 
