@@ -153,7 +153,8 @@ def project_simplex(y) -> np.ndarray:
     """Euclidean projection onto {x : x >= 0, sum(x) = 1}.
 
     Sort-and-threshold method, O(n log n). Ties at the threshold are handled
-    by the strict positivity scan, which keeps equal elements together.
+    by the strict positivity scan, which keeps equal elements together. A
+    point with a non-finite entry, or entries too large to scan, is rejected.
     """
     y = _as_vector(y, "y")
     if y.size == 0:
@@ -161,8 +162,13 @@ def project_simplex(y) -> np.ndarray:
     u = np.sort(y)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, y.size + 1)
-    positive = u + (1.0 - css) / j > 0.0
-    k = int(np.nonzero(positive)[0][-1]) + 1
+    positive = np.flatnonzero(u + (1.0 - css) / j > 0.0)
+    if positive.size == 0:
+        cause = ("a non-finite entry" if not np.isfinite(y).all() else
+                 f"entries of magnitude up to {float(np.abs(y).max())!r}, "
+                 "at which the threshold scan loses all precision")
+        raise ValueError(f"cannot project onto the simplex: {cause}")
+    k = int(positive[-1]) + 1
     tau = (css[k - 1] - 1.0) / k
     return np.maximum(y - tau, 0.0)
 

@@ -60,9 +60,7 @@ def _fmt(value) -> str:
 
 
 def _row(rec: RunRecord) -> str:
-    return ",".join(
-        _fmt(getattr(rec, col)) for col in CSV_COLUMNS
-    )
+    return ",".join(_fmt(getattr(rec, col)) for col in CSV_COLUMNS)
 
 
 def write_csv(records: List[RunRecord], path) -> None:
@@ -92,18 +90,9 @@ def read_csv(path) -> List[RunRecord]:
                     f"{path}, line {lineno}: expected {len(CSV_COLUMNS)} fields, "
                     f"got {len(parts)}"
                 )
-            records.append(
-                RunRecord(
-                    iteration=int(parts[0]),
-                    sample_size=int(parts[1]),
-                    cumulative_grad_evals=int(parts[2]),
-                    objective_estimate=float(parts[3]),
-                    error_norm=_parse_opt(parts[4]),
-                    rho=_parse_opt(parts[5]),
-                    t_aux=_parse_opt(parts[6]),
-                    wall_time_ms=float(parts[7]),
-                )
-            )
+            # three counts, the objective, three optional columns, the wall clock
+            records.append(RunRecord(*map(int, parts[:3]), float(parts[3]),
+                                     *map(_parse_opt, parts[4:7]), float(parts[7])))
     return records
 
 
@@ -163,7 +152,12 @@ def compare_runs(
     Objectives are linearly interpolated onto the union of both eval grids
     restricted to their overlap. Supplied tolerances become pass/fail checks;
     with none supplied the report always passes and is purely informational.
+    A tolerance must be non-negative, and inf means no limit; NaN is rejected.
     """
+    for name, tol in (("final_objective_rel_tol", final_objective_rel_tol),
+                      ("final_objective_abs_tol", final_objective_abs_tol)):
+        if tol is not None and not tol >= 0.0:
+            raise ValueError(f"{name} must be non-negative, got {tol!r}")
     recs_a = read_csv(csv_a)
     recs_b = read_csv(csv_b)
     if not recs_a or not recs_b:

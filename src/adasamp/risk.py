@@ -23,14 +23,13 @@ QUANTILE_TOL = 1e-12
 def expit(x):
     """The logistic function 1/(1 + exp(-x)), elementwise.
 
-    This is scipy.special.expit itself, imported on the first call so that
-    importing adasamp (and running the expectation and SQP drivers) does not
-    load scipy. Callers in this module look the name up at call time, so
-    replacing ``adasamp.risk.expit`` replaces it for them too.
+    exp(-x) overflows to inf below x = -709.78, where the quotient is the
+    limit 0; the overflow warning is silenced, so no float64 input warns.
+    Callers in this module look the name up at call time, so replacing
+    ``adasamp.risk.expit`` replaces it for them too.
     """
-    from scipy.special import expit as scipy_expit
-
-    return scipy_expit(x)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(np.negative(x)))
 
 
 def smooth_plus(y, epsilon: float):
@@ -72,7 +71,7 @@ def quantile_solve(values, beta: float, epsilon: float) -> float:
     hi = v_max + pad
 
     def resid(t):
-        return float(np.mean(expit((values - t) / epsilon))) - target
+        return float(expit((values - t) / epsilon).sum() / values.size) - target
 
     for _ in range(200):
         if hi - lo <= QUANTILE_TOL:

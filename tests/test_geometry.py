@@ -44,6 +44,18 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             project_simplex(np.array([]))
 
+    @pytest.mark.parametrize("y, cause", [
+        ([np.nan, 0.5, 0.2], "a non-finite entry"),
+        ([np.inf, 0.0, 1.0], "a non-finite entry"),
+        ([1e16, 0.0, 0.0], r"magnitude up to 1e\+16"),
+        ([1e308, 1e308, 0.0], r"magnitude up to 1e\+308"),
+    ])
+    def test_simplex_rejects_a_point_its_scan_cannot_threshold(self, y, cause):
+        # the threshold scan found no positive entry and indexed an empty array
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=f"cannot project onto the simplex: .*{cause}"):
+            project_simplex(y)
+
     def test_halfspace_noop_when_feasible(self):
         hs = Halfspace(np.array([1.0, 0.0]), -1.0)
         y = np.array([0.5, 3.0])

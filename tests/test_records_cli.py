@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from adasamp.cli import (
@@ -219,6 +220,24 @@ class TestCompareRuns:
         )
         assert not report.passed and report.failures
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-3])
+    @pytest.mark.parametrize("name", ["final_objective_rel_tol", "final_objective_abs_tol"])
+    def test_rejects_a_nan_or_negative_tolerance(self, tmp_path, name, tol):
+        run_experiment(tiny_config(tmp_path, max_iters=3))
+        log = tmp_path / "run.csv"
+        with pytest.raises(ValueError, match=f"{name} must be non-negative, got {tol!r}"):
+            compare_runs(log, log, **{name: tol})
+
+    def test_an_infinite_tolerance_means_no_limit(self, tmp_path):
+        a = tiny_config(tmp_path, output=str(tmp_path / "a.csv"))
+        b = tiny_config(tmp_path, seed=3, max_iters=4, output=str(tmp_path / "b.csv"))
+        run_experiment(a)
+        run_experiment(b)
+        report = compare_runs(tmp_path / "a.csv", tmp_path / "b.csv",
+                              final_objective_rel_tol=float("inf"),
+                              final_objective_abs_tol=float("inf"))
+        assert report.final_objective_delta != 0.0 and report.passed
+
 
 class TestCommandLine:
     def test_run_and_compare_end_to_end(self, tmp_path):
@@ -284,6 +303,17 @@ class TestCommandLine:
         )
         assert not (tmp_path / "run.csv").exists()
 
+    def test_a_step_too_large_to_project_exits_with_an_error_line(self, tmp_path, capsys):
+        # the simplex projection used to end this run in an IndexError
+        # traceback with exit code 1
+        with np.errstate(over="ignore"):
+            rc = main(["run", "--problem", "portfolio", "--algorithm", "spgd", "--alpha", "1e308",
+                       "--max-iters", "2", "--output", str(tmp_path / "run.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot project onto the simplex: entries of magnitude up to"
+        )
+
     def test_compare_failure_exit_code(self, tmp_path, capsys):
         a = tiny_config(tmp_path, output=str(tmp_path / "a.csv"))
         b = tiny_config(tmp_path, seed=3, max_iters=4, output=str(tmp_path / "b.csv"))
@@ -294,6 +324,20 @@ class TestCommandLine:
                    "--final-objective-rel-tol", "1e-12"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--final-objective-rel-tol", "--final-objective-abs-tol"])
+    def test_compare_with_a_nan_tolerance_exits_with_an_error_line(self, tmp_path, capsys, flag):
+        # a NaN tolerance used to print PASS and exit 0 for these two runs,
+        # whose final objectives differ by 12.7%
+        for seed in (1, 2):
+            run_experiment(tiny_config(tmp_path, seed=seed, max_iters=5,
+                                       output=str(tmp_path / f"{seed}.csv")))
+        capsys.readouterr()
+        rc = main(["compare", str(tmp_path / "1.csv"), str(tmp_path / "2.csv"), flag, "nan"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: final_objective_") and "non-negative" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("row", ["3,10", "3,10,40,1.5,,,,0.25,7"])
     def test_compare_rejects_a_row_of_the_wrong_width(self, tmp_path, capsys, row):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,16 +130,21 @@ def test_cvar_coherence_slice(values, c, lam):
 
 
 class TestLazyExpit:
-    def test_bitwise_equal_to_scipy(self):
+    def test_within_ulps_of_scipy(self):
         from scipy.special import expit
 
         edges = [0.0, 1e-300, 30.0, 745.0, 1e3, np.inf]
         grid = np.concatenate([edges, np.negative(edges), np.linspace(-40.0, 40.0, 8001)])
-        got = risk.expit(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # exp(745) and exp(1e3) overflow silently
+            got = risk.expit(grid)
+            exact = [risk.expit(v) for v in (-np.inf, 0.0, np.inf, np.nan)]
         assert got.dtype == np.float64
-        assert np.array_equal(got.view(np.uint64), expit(grid).view(np.uint64))
-        for v in (0.0, -1e-300, 745.0, -np.inf):
-            assert risk.expit(v) == expit(v)
+        want = expit(grid)
+        # 1/(1 + exp(-x)) differs from scipy's branch formula by at most 2
+        # ulps on this grid, and by 4 on a dense grid over [-60, 60]
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        assert exact[:3] == [0.0, 0.5, 1.0] and math.isnan(exact[3])
 
     def test_module_global_is_looked_up_at_call_time(self, monkeypatch):
         # replacing adasamp.risk.expit must reach every caller that evaluates

@@ -1,5 +1,5 @@
-"""The statistics of the distributional gate in ``tools/csv_fingerprints.py``
-and its per-column report."""
+"""The statistics of the distributional gate in ``tools/csv_fingerprints.py``,
+its per-column report and its ``compare_runs`` figure."""
 
 import importlib.util
 from pathlib import Path
@@ -7,6 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
+
+from adasamp.cli import main
+from adasamp.records import RunRecord, write_csv
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "csv_fingerprints.py"
 
@@ -84,3 +87,14 @@ def test_column_report_flags_a_field_empty_or_nan_on_one_side(fingerprints):
     text, worst, rho_diff, _ = fingerprints.column_report(rows([10, 20]), new)
     assert "error_norm abs=inf rel=inf; rho abs=inf rel=inf" in text and worst == float("inf")
     assert rho_diff == float("inf")
+
+
+def test_final_objective_rel_delta_is_that_of_adasamp_compare(fingerprints, tmp_path, capsys):
+    old, new = rows([10, 20]), rows([10, 30], objective=3.0)
+    assert fingerprints.final_objective_rel_delta(old, old) == 0.0
+    got = fingerprints.final_objective_rel_delta(old, new)
+    assert got == pytest.approx(2.0 / 3.0)  # final objectives 0.5 and 1.5
+    for name, run in (("old", old), ("new", new)):
+        write_csv([RunRecord(*row) for row in run], tmp_path / f"{name}.csv")
+    assert main(["compare", str(tmp_path / "old.csv"), str(tmp_path / "new.csv")]) == 0
+    assert f"final_objective_rel_delta = {got!r}" in capsys.readouterr().out

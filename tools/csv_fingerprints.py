@@ -52,6 +52,12 @@ relative to max(|rho|, 1), the test's threshold: a rho far below 1, such as
 the 1e-27 of rows that agree to rounding, is itself rounding noise, and its
 plain relative difference says nothing.
 
+Each seed's line ends with the ``final_objective_rel_delta`` that
+``adasamp compare`` reports for the two runs: both trajectories are written
+as CSV logs and compared with ``records.compare_runs``. A closing line gives
+its largest value over all runs and over the runs whose sizes diverge. The
+exit code depends on the p-values only.
+
 Every pair runs the README's flags for its algorithm, except basic
 cvar-extended, which runs at ``--theta 0.01`` (``PAIR_FLAGS``): at theta 1.5
 its variance test passes at 10 rows on every gate seed, whereas at 0.01 its
@@ -76,7 +82,7 @@ import tempfile
 
 import adasamp
 from adasamp import cli
-from adasamp.records import CSV_COLUMNS, csv_body, read_csv
+from adasamp.records import CSV_COLUMNS, RunRecord, compare_runs, csv_body, read_csv, write_csv
 
 SEEDS = (0, 1, 2)
 MAX_ITERS = 100
@@ -183,6 +189,17 @@ def column_report(old, new):
     return "; ".join([text, *parts]), worst, rho_diff, diverge is not None
 
 
+def final_objective_rel_delta(old, new) -> float:
+    """The ``final_objective_rel_delta`` of ``adasamp compare`` for one seed's
+    runs, given as rows of the ``COLUMNS`` values: both are written as CSV
+    logs and compared with ``records.compare_runs``."""
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = [os.path.join(workdir, "old.csv"), os.path.join(workdir, "new.csv")]
+        for rows, path in zip((old, new), paths):
+            write_csv([RunRecord(*row) for row in rows], path)
+        return compare_runs(*paths).final_objective_rel_delta
+
+
 def mann_whitney_p(a, b) -> float:
     """Two-sided p-value of the Mann-Whitney U test of samples a and b, by
     the normal approximation with tie and continuity corrections; 1.0 when
@@ -217,6 +234,7 @@ def compare(old_src: str) -> int:
     print(f"old: {os.path.abspath(old_src)}  new: {new_src}  seeds: "
           f"{COMPARE_SEEDS.start}-{COMPARE_SEEDS.stop - 1}  (q1/median/q3)", flush=True)
     passed, worst, rho_worst, diverged, runs = True, 0.0, 0.0, 0, 0
+    final_worst = final_worst_diverged = 0.0
     for problem in cli.PROBLEMS:
         for algorithm in cli.ALGORITHMS:
             procs = []
@@ -242,15 +260,22 @@ def compare(old_src: str) -> int:
                       f"p={p:.3g}{'' if p >= GATE_P else ' FAIL'}", flush=True)
             for seed, old_rows, new_rows in zip(COMPARE_SEEDS, old, new):
                 text, rel, rho_diff, diverges = column_report(old_rows, new_rows)
+                final_rel = final_objective_rel_delta(old_rows, new_rows)
                 worst, rho_worst = max(worst, rel), max(rho_worst, rho_diff)
+                final_worst = max(final_worst, final_rel)
+                if diverges:
+                    final_worst_diverged = max(final_worst_diverged, final_rel)
                 diverged += diverges
                 runs += 1
-                print(f"  {problem} {algorithm} seed={seed}: {text}", flush=True)
+                print(f"  {problem} {algorithm} seed={seed}: {text}; "
+                      f"final_objective_rel_delta {final_rel:.3g}", flush=True)
     gated = ", ".join(COLUMNS[j] for j in GATED)
     print(f"{gated} while the sizes agree: max rel difference {worst:.3g} "
           f"({'within' if worst <= LAST_BITS_REL else 'above'} {LAST_BITS_REL:g}); "
           f"sizes diverge in {diverged} of {runs} runs")
     print(f"rho while the sizes agree: max difference {rho_worst:.3g} relative to max(|rho|, 1)")
+    print(f"final_objective_rel_delta: max {final_worst:.3g} over all runs, "
+          f"{final_worst_diverged:.3g} over the runs whose sizes diverge")
     print(f"gate: {'pass' if passed else 'FAIL'} (every p >= {GATE_P})")
     return 0 if passed else 1
 
