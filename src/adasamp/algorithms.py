@@ -58,32 +58,32 @@ STATUS_SAMPLE_BUDGET = "sample-budget-exhausted"
 class OptimizerConfig:
     """Driver configuration.
 
-    With ``adaptive`` False the sample-size test is disabled entirely and the
-    size stays at ``initial_sample_size`` (the rho column stays empty).
+    ``test`` is required: None is the fixed-size baseline, which runs no
+    sample-size test and keeps ``initial_sample_size`` throughout (the rho
+    column stays empty).
     Stopping: always after ``max_iters``; early on stationarity (reduced
     gradient norm at most STATIONARITY_TOL * (1 + ||x||)).
     """
 
     alpha: float
     max_iters: int
-    test: TestConfig
+    test: Optional[TestConfig]
     initial_sample_size: int = 10
     seed: int = 0
-    adaptive: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.adaptive and self.initial_sample_size < 2:
+        if self.test is not None and self.initial_sample_size < 2:
             raise ValueError(
                 "initial_sample_size must be >= 2 "
                 "(the variance test needs at least two samples)"
             )
         if self.initial_sample_size < 1:
             raise ValueError("initial_sample_size must be >= 1")
-        if self.adaptive and self.initial_sample_size > self.test.max_sample_size:
+        if self.test is not None and self.initial_sample_size > self.test.max_sample_size:
             raise ValueError(
                 "initial_sample_size must be <= test.max_sample_size "
                 "(a failed test would shrink the set to the cap)"
@@ -134,15 +134,15 @@ def _stationary(reduced_grad, x) -> bool:
 def _projected_step(cset: ConstraintSet, x, stats: GradientStats, cfg: OptimizerConfig) -> _Step:
     """The step x_next = P(x - alpha * mean gradient) and its reduced
     gradient (x - x_next) / alpha, with alpha from ``cfg``. It also applies
-    the stationarity guard and, if adaptive, the norm test that sizes the
-    next set.
+    the stationarity guard and, unless ``cfg.test`` is None, the norm test
+    that sizes the next set.
     """
     alpha = cfg.alpha
     x_next = project(cset, x - alpha * stats.mean_grad).point
     step = _Step(x_next, (x - x_next) / alpha, stats.n)
     if _stationary(step.reduced_grad, x):
         step.status = STATUS_STATIONARY
-    elif cfg.adaptive:
+    elif cfg.test is not None:
         outcome = norm_test(stats, step.reduced_grad, cfg.test)
         step.rho, step.next_n = outcome.rho, outcome.next_size
     return step
@@ -316,7 +316,7 @@ def run_sqp_adaptive(
             if _stationary(reduced_grad, x):
                 status = STATUS_STATIONARY
                 break
-            if not cfg.adaptive:
+            if cfg.test is None:
                 break
             outcome = norm_test(stats, d_mean, cfg.test)
             rho = outcome.rho
@@ -357,7 +357,7 @@ def run_cvar_extended(
     extended = ExtendedProblem(problem, beta, epsilon)
     x_start = project(cset, np.asarray(x0, dtype=float)).point
     s0 = draw_samples(problem, cfg.initial_sample_size, 0, cfg.seed)
-    t0 = float(np.mean(batch_values(problem, x_start, s0.realizations)))
+    t0 = sample_objective(problem, x_start, s0)
     product = ProductWithFree(cset)
     z = project(product, np.concatenate([x_start, [t0]])).point
     result = _drive(extended, _expectation_step(extended, product, cfg, aux_t=True), cfg, z)
@@ -384,10 +384,6 @@ def run_nested_quantile(
     risk-neutral driver. The logged t and objective estimate are
     ``smoothed_cvar`` of the sample values.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie strictly in (0, 1)")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
 
     def step(x, sample_set, k):
         fs = batch_values(problem, x, sample_set.realizations)

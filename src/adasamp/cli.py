@@ -13,9 +13,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -109,18 +109,12 @@ class ExperimentConfig:
 
 def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
     fixed = cfg.algorithm == "spgd-fixed"
-    size = cfg.fixed_sample_size if fixed else cfg.s0
-    test = TestConfig(
-        theta=cfg.theta if not fixed else 1.0,
-        max_sample_size=cfg.max_sample_size,
-    )
     return OptimizerConfig(
         alpha=cfg.alpha,
         max_iters=cfg.max_iters,
-        test=test,
-        initial_sample_size=size,
+        test=None if fixed else TestConfig(cfg.theta, cfg.max_sample_size),
+        initial_sample_size=cfg.fixed_sample_size if fixed else cfg.s0,
         seed=cfg.seed,
-        adaptive=not fixed,
     )
 
 
@@ -205,27 +199,28 @@ def load_config_file(path) -> dict:
     return values
 
 
-_INT_FIELDS = {"s0", "max_iters", "seed", "max_sample_size", "fixed_sample_size"}
-_FLOAT_FIELDS = {"alpha", "theta", "beta", "epsilon"}
-
-
-def _coerce(field: str, value: str):
-    kind = int if field in _INT_FIELDS else float if field in _FLOAT_FIELDS else str
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(field, f"not a valid {kind.__name__}: {value!r}") from None
+def _field_types() -> dict:
+    """Each ExperimentConfig field and the type of its value, in field
+    order: an Optional[int] field gives int. These are the run subcommand's
+    flags and the configuration file's keys."""
+    return {
+        name: (get_args(hint) or (hint,))[0]
+        for name, hint in get_type_hints(ExperimentConfig).items()
+    }
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
-        # only the dataclass fields: a method name such as validate is no key
-        names = {f.name for f in fields(ExperimentConfig)}
+        kinds = _field_types()
         for key, raw in load_config_file(args.config).items():
-            if key not in names:
+            kind = kinds.get(key)
+            if kind is None:
                 raise ConfigError(key, "unknown configuration key")
-            setattr(cfg, key, _coerce(key, raw))
+            try:
+                setattr(cfg, key, kind(raw))
+            except ValueError:
+                raise ConfigError(key, f"not a valid {kind.__name__}: {raw!r}") from None
     for field in vars(cfg):
         flag = getattr(args, field, None)
         if flag is not None:
@@ -241,18 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment and write a CSV log")
-    run.add_argument("--problem", choices=PROBLEMS)
-    run.add_argument("--algorithm", choices=ALGORITHMS)
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--theta", type=float)
-    run.add_argument("--beta", type=float)
-    run.add_argument("--epsilon", type=float)
-    run.add_argument("--s0", type=int)
-    run.add_argument("--max-iters", dest="max_iters", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--max-sample-size", dest="max_sample_size", type=int)
-    run.add_argument("--fixed-sample-size", dest="fixed_sample_size", type=int)
-    run.add_argument("--output", type=str)
+    choices = {"problem": PROBLEMS, "algorithm": ALGORITHMS}
+    for name, kind in _field_types().items():
+        flag = "--" + name.replace("_", "-")
+        run.add_argument(flag, dest=name, type=kind, choices=choices.get(name))
     run.add_argument("--config", type=str, help="key=value file; flags win on conflict")
 
     cmp_ = sub.add_parser("compare", help="align two run logs by gradient evaluations")
@@ -282,7 +269,9 @@ def main(argv=None) -> int:
         )
         sys.stdout.write(report.to_text())
         return 0 if report.passed else 1
-    except (ConfigError, ValueError, OSError) as exc:
+    # a RuntimeWarning is raised only under python -W error, as by an
+    # overflow in a step too large for float64
+    except (ValueError, OSError, RuntimeWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -160,9 +160,12 @@ def project_simplex(y) -> np.ndarray:
     if y.size == 0:
         raise ValueError("cannot project an empty vector")
     u = np.sort(y)[::-1]
-    css = np.cumsum(u)
     j = np.arange(1, y.size + 1)
-    positive = np.flatnonzero(u + (1.0 - css) / j > 0.0)
+    # entries too large to scan overflow it and leave no positive entry,
+    # which the error below describes
+    with np.errstate(over="ignore", invalid="ignore"):
+        css = np.cumsum(u)
+        positive = np.flatnonzero(u + (1.0 - css) / j > 0.0)
     if positive.size == 0:
         cause = ("a non-finite entry" if not np.isfinite(y).all() else
                  f"entries of magnitude up to {float(np.abs(y).max())!r}, "

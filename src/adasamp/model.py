@@ -113,10 +113,10 @@ class SampleSet:
     """An ordered collection of realizations.
 
     ``stream`` is the key of its first row, so that ``extend_samples`` can
-    append the rows that follow; None for a set built by hand."""
+    append the rows that follow."""
 
     realizations: np.ndarray
-    stream: Optional[Stream] = None
+    stream: Stream
 
     def __len__(self) -> int:
         return self.realizations.shape[0]
@@ -136,10 +136,8 @@ class GradientStats:
 
 def _sample(problem, stream: Stream, n: int) -> np.ndarray:
     xis = np.asarray(problem.sampler(stream, n), dtype=float)
-    if xis.ndim == 1:
-        xis = xis[:, None]
-    if xis.shape[0] != n:
-        raise ValueError(f"sampler returned {xis.shape[0]} realizations, expected {n}")
+    if xis.ndim != 2 or xis.shape[0] != n:
+        raise ValueError(f"sampler returned rows of shape {xis.shape}, expected ({n}, xi_dim)")
     return xis
 
 
@@ -159,8 +157,6 @@ def extend_samples(problem, sample_set: SampleSet, m: int) -> SampleSet:
     m rows; the given set is left as it was."""
     n = len(sample_set)
     stream = sample_set.stream
-    if stream is None:
-        raise ValueError("the sample set has no stream to extend")
     if m <= n:
         raise ValueError(f"cannot extend a set of {n} realizations to {m}")
     tail = _sample(problem, Stream(stream.seed, stream.iteration, stream.start + n), m - n)

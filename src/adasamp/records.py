@@ -117,7 +117,6 @@ class ComparisonReport:
     final_objective_rel_delta: float
     final_error_a: Optional[float]
     final_error_b: Optional[float]
-    max_aligned_delta: float
     failures: tuple
     passed: bool
 
@@ -197,7 +196,6 @@ def compare_runs(
         elif not eb < ea:
             failures.append(f"final error of b ({eb!r}) not smaller than a ({ea!r})")
 
-    max_delta = float(np.max(np.abs(ib - ia))) if grid.size else math.nan
     return ComparisonReport(
         grid=grid,
         objective_a=ia,
@@ -208,7 +206,6 @@ def compare_runs(
         final_objective_rel_delta=rel,
         final_error_a=ea,
         final_error_b=eb,
-        max_aligned_delta=max_delta,
         failures=tuple(failures),
         passed=not failures,
     )

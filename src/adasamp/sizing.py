@@ -44,16 +44,6 @@ class TestOutcome:
     next_size: int
 
 
-def _outcome(rho: float, current: int, cfg: TestConfig) -> TestOutcome:
-    if rho <= 1.0:
-        return TestOutcome(True, rho, current)
-    if math.isfinite(rho):
-        grown = math.ceil(rho * current)
-    else:
-        grown = cfg.max_sample_size
-    return TestOutcome(False, rho, min(grown, cfg.max_sample_size))
-
-
 def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcome:
     """Test whether the current sample size controls the gradient error.
 
@@ -82,7 +72,10 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
     if r_sq == 0.0:
         raise ValueError("norm test needs a nonzero reduced gradient")
     rho = stats.variance_stat / (cfg.theta**2 * r_sq)
-    return _outcome(rho, stats.n, cfg)
+    if rho <= 1.0:
+        return TestOutcome(True, rho, stats.n)
+    grown = math.ceil(rho * stats.n) if math.isfinite(rho) else cfg.max_sample_size
+    return TestOutcome(False, rho, min(grown, cfg.max_sample_size))
 
 
 def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:

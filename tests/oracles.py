@@ -30,7 +30,6 @@ from adasamp.geometry import (
     project,
 )
 from adasamp.model import StochasticProblem, batch_grads, draw_samples, sample_gradient
-from adasamp.sizing import TestConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +111,14 @@ def cvar_empirical(values, beta: float) -> float:
 def spgd_step(problem, cset, x, sample_set, alpha):
     """One projected gradient step on a sample-average gradient, as the
     drivers take it: ``sample_gradient``, then the drivers' own
-    ``_projected_step`` (non-adaptive, so no norm test runs).
+    ``_projected_step`` (with no test, so no norm test runs).
 
     Returns (x_next, reduced_grad, stats) with x_next = P(x - alpha * mean
     gradient) and reduced_grad = (x - x_next) / alpha.
     """
     x = np.asarray(x, dtype=float)
     stats = sample_gradient(problem, x, sample_set)
-    cfg = algorithms.OptimizerConfig(alpha=alpha, max_iters=1, test=TestConfig(theta=1.0), adaptive=False)
+    cfg = algorithms.OptimizerConfig(alpha=alpha, max_iters=1, test=None)
     step = algorithms._projected_step(cset, x, stats, cfg)
     return step.x_next, step.reduced_grad, stats
 

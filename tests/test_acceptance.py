@@ -86,8 +86,8 @@ def basic_runs(basic):
     fixed = run_spgd_adaptive(
         problem, cset,
         OptimizerConfig(
-            alpha=0.025, max_iters=150, test=TestConfig(theta=0.5),
-            initial_sample_size=10, seed=0, adaptive=False,
+            alpha=0.025, max_iters=150, test=None,
+            initial_sample_size=10, seed=0,
         ),
         x0,
     )

@@ -76,15 +76,10 @@ def linear_returning(grad_many):
     )
 
 
-def cfg(alpha=0.025, iters=40, theta=0.5, s0=10, seed=0, **kw):
-    return OptimizerConfig(
-        alpha=alpha,
-        max_iters=iters,
-        test=TestConfig(theta=theta, **kw.pop("test_kw", {})),
-        initial_sample_size=s0,
-        seed=seed,
-        **kw,
-    )
+def cfg(alpha=0.025, iters=40, theta=0.5, s0=10, seed=0, test_kw=None, **kw):
+    """A driver configuration; ``test=None`` gives the fixed-size run."""
+    kw.setdefault("test", TestConfig(theta=theta, **(test_kw or {})))
+    return OptimizerConfig(alpha=alpha, max_iters=iters, initial_sample_size=s0, seed=seed, **kw)
 
 
 class TestSpgdStep:
@@ -148,7 +143,7 @@ class TestRunSpgdAdaptive:
 
     def test_fixed_mode_keeps_size_and_leaves_rho_empty(self, basic):
         problem, cset = basic
-        res = run_spgd_adaptive(problem, cset, cfg(iters=25, adaptive=False), np.ones(20))
+        res = run_spgd_adaptive(problem, cset, cfg(iters=25, test=None), np.ones(20))
         assert {r.sample_size for r in res.records} == {10}
         assert all(r.rho is None for r in res.records)
 
@@ -288,6 +283,20 @@ class TestRunSqpAdaptive:
         assert res.status == "sample-budget-exhausted"
         assert res.records[-1].sample_size == 64
 
+    def test_fixed_size_run_takes_no_augmentation_round(self):
+        # the same noisy run that augments under a test (above) keeps its
+        # size and records no rho without one
+        problem = noisy_linear(np.array([1.0, 0.5, -0.3, 0.8, 0.2]), 0.05)
+        sphere = EqualityConstraint(
+            value=lambda x: float(x @ x) - 1.0, grad=lambda x: 2.0 * np.asarray(x, float)
+        )
+        res = run_sqp_adaptive(problem, sphere, cfg(alpha=0.1, iters=60, s0=8, seed=2, test=None),
+                               np.full(5, 0.7))
+        assert len(res.records) == 60
+        assert res.extras["augment_rounds"] == [0] * 60
+        assert {r.sample_size for r in res.records} == {8}
+        assert all(r.rho is None for r in res.records)
+
 
 class TestRunCvarExtended:
     @pytest.mark.parametrize("driver", [run_cvar_extended, run_nested_quantile])
@@ -407,8 +416,13 @@ class TestOptimizerConfigValidation:
         with pytest.raises(ValueError):
             cfg(s0=1)
 
+    def test_test_is_required(self):
+        # leaving it out is an error, never a silent fixed-size run
+        with pytest.raises(TypeError, match="test"):
+            OptimizerConfig(alpha=0.1, max_iters=3)
+
     def test_fixed_mode_allows_single_sample(self):
-        assert cfg(s0=1, adaptive=False).initial_sample_size == 1
+        assert cfg(s0=1, test=None).initial_sample_size == 1
 
     def test_rejects_adaptive_start_above_the_cap(self):
         # a failed test sizes the next set to min(ceil(rho n), cap) < n:
@@ -416,7 +430,7 @@ class TestOptimizerConfigValidation:
         with pytest.raises(ValueError, match="max_sample_size"):
             cfg(s0=500, test_kw={"max_sample_size": 100})
         assert cfg(s0=100, test_kw={"max_sample_size": 100}).initial_sample_size == 100
-        fixed = cfg(s0=500, adaptive=False, test_kw={"max_sample_size": 100})
+        fixed = cfg(s0=500, test=None)
         assert fixed.initial_sample_size == 500
 
 

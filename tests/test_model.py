@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import sys
 import threading
 
@@ -10,7 +11,6 @@ import pytest
 from adasamp import model
 from adasamp.algorithms import OptimizerConfig, run_cvar_extended, run_spgd_adaptive
 from adasamp.model import (
-    SampleSet,
     StochasticProblem,
     _matvec,
     _row_blocks,
@@ -168,12 +168,39 @@ class TestExtendSamples:
         assert np.array_equal(first.realizations, second.realizations)
         assert np.array_equal(small.realizations, rows)
 
-    def test_rejects_a_set_without_stream_or_a_smaller_size(self, basic):
+    def test_rejects_a_smaller_size(self, basic):
         problem, _ = basic
-        with pytest.raises(ValueError, match="no stream"):
-            extend_samples(problem, SampleSet(np.zeros((4, 20))), 8)
         with pytest.raises(ValueError, match="cannot extend"):
             extend_samples(problem, draw_samples(problem, 4, 0, 0), 4)
+
+
+class TestSamplerShape:
+    # a sampler returns (n, xi_dim) rows; any other shape is an error that
+    # names it, at the first draw and at an append
+    @staticmethod
+    def shaped(reshape):
+        def sampler(stream, n):
+            return reshape(fill_rows(stream, n, 2, lambda g, out: g.random(out=out)))
+
+        return StochasticProblem(2, sampler, lambda x, xis: xis @ x, lambda x, xis: xis)
+
+    @pytest.mark.parametrize(
+        "reshape, shape",
+        [
+            (lambda rows: rows[:, 0], "(8,)"),
+            (lambda rows: rows[:, :, None], "(8, 2, 1)"),
+            (lambda rows: rows[1:], "(7, 2)"),
+        ],
+        ids=["1-d", "3-d", "a row short"],
+    )
+    def test_draw_and_extend_name_a_wrong_shape(self, reshape, shape):
+        good = draw_samples(self.shaped(lambda rows: rows), 8, 0, 0)
+        bad = self.shaped(reshape)
+        message = re.escape(f"sampler returned rows of shape {shape}, expected (8, xi_dim)")
+        with pytest.raises(ValueError, match=message):
+            draw_samples(bad, 8, 0, 0)
+        with pytest.raises(ValueError, match=message):
+            extend_samples(bad, good, 16)
 
 
 # 4097 = 8 * 512 + 1 and 12289 = 24 * 512 + 1 end in a one-row tail, which

@@ -1,13 +1,18 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from adasamp.cli import (
+    ALGORITHMS,
+    PROBLEMS,
     ConfigError,
     ExperimentConfig,
+    build_parser,
     load_config_file,
     main,
     resolve_config,
@@ -165,6 +170,26 @@ class TestConfigFileAndFlags:
         assert cfg.theta == 0.5
         assert cfg.max_iters == 9
 
+    def test_run_flags_are_the_config_fields(self):
+        kinds = dict(problem=str, algorithm=str, alpha=float, theta=float, beta=float,
+                     epsilon=float, s0=int, max_iters=int, seed=int, max_sample_size=int,
+                     fixed_sample_size=int, output=str, config=str)
+        run = build_parser()._subparsers._group_actions[0].choices["run"]
+        actions = [a for a in run._actions if a.dest != "help"]
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["config"]
+        assert [a.dest for a in actions] == names == list(kinds)
+        for a in actions:
+            assert a.option_strings == ["--" + a.dest.replace("_", "-")]
+            assert a.type is kinds[a.dest]
+            assert a.choices == {"problem": PROBLEMS, "algorithm": ALGORITHMS}.get(a.dest)
+
+    def test_config_file_values_take_their_field_types(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("fixed_sample_size = 40\noutput = 7\nalpha = 1\n")
+        cfg = resolve_config(make_args(config=str(path)))
+        assert (cfg.fixed_sample_size, cfg.output, cfg.alpha) == (40, "7", 1.0)
+        assert type(cfg.fixed_sample_size) is int and type(cfg.alpha) is float
+
     # methods and dunder attributes of the config are no keys: setting them
     # replaced validate or output_path with a string
     @pytest.mark.parametrize("key", ["bogus", "validate", "output_path", "__class__"])
@@ -194,7 +219,7 @@ class TestCompareRuns:
         run_experiment(cfg)
         report = compare_runs(tmp_path / "run.csv", tmp_path / "run.csv")
         assert report.final_objective_delta == 0.0
-        assert report.max_aligned_delta == 0.0
+        assert report.grid.size and np.all(report.objective_b - report.objective_a == 0.0)
         assert report.passed
 
     def test_adaptive_beats_fixed_ten(self, tmp_path):
@@ -305,14 +330,31 @@ class TestCommandLine:
 
     def test_a_step_too_large_to_project_exits_with_an_error_line(self, tmp_path, capsys):
         # the simplex projection used to end this run in an IndexError
-        # traceback with exit code 1
-        with np.errstate(over="ignore"):
+        # traceback with exit code 1, and its scan's overflow in a
+        # RuntimeWarning traceback under python -W error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["run", "--problem", "portfolio", "--algorithm", "spgd", "--alpha", "1e308",
                        "--max-iters", "2", "--output", str(tmp_path / "run.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             "error: cannot project onto the simplex: entries of magnitude up to"
         )
+
+    @pytest.mark.parametrize("algorithm, alpha", [("spgd", "1e308"), ("sqp", "1e307"),
+                                                  ("spgd", "1.7e308")])
+    def test_a_huge_step_exits_with_an_error_line_under_w_error(self, tmp_path, algorithm, alpha):
+        # these ended in RuntimeWarning tracebacks with exit code 1: overflow
+        # in the simplex scan, in sqp_directions and in the projected step
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "adasamp", "run", "--problem", "portfolio",
+             "--algorithm", algorithm, "--alpha", alpha, "--max-iters", "3",
+             "--output", str(tmp_path / "run.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_compare_failure_exit_code(self, tmp_path, capsys):
         a = tiny_config(tmp_path, output=str(tmp_path / "a.csv"))
