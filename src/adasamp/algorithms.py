@@ -24,6 +24,7 @@ from .geometry import ConstraintSet, ProductWithFree, project
 from .model import (
     GradientStats,
     SampleSet,
+    ScaledRows,
     _matvec,
     batch_grads,
     batch_values,
@@ -390,8 +391,7 @@ def run_nested_quantile(
         t_k, objective = smoothed_cvar(fs, beta, epsilon)
         grads = batch_grads(problem, x, sample_set.realizations)
         weights = expit((fs - t_k) / epsilon)
-        np.multiply(grads, weights[:, None], out=grads)
-        s = _projected_step(cset, x, gradient_stats(grads), cfg)
+        s = _projected_step(cset, x, gradient_stats(ScaledRows(grads, weights)), cfg)
         s.objective, s.t = objective, t_k
         return s
 

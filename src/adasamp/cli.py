@@ -87,7 +87,7 @@ class ExperimentConfig:
             raise ConfigError("max_iters", "must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed", "must be non-negative")
-        if self.max_sample_size < self.s0:
+        if self.max_sample_size < self.s0 and self.algorithm != "spgd-fixed":
             raise ConfigError("max_sample_size", "must be >= s0")
         if self.algorithm == "spgd-fixed":
             if self.fixed_sample_size is None or self.fixed_sample_size < 1:

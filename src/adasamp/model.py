@@ -27,6 +27,7 @@ __all__ = [
     "StochasticProblem",
     "SampleSet",
     "GradientStats",
+    "ScaledRows",
     "Stream",
     "STREAM_VERSION",
     "stream_rng",
@@ -81,13 +82,7 @@ class StochasticProblem:
     ``value_many(x, xis)`` returns the (n,)
     values f(x; xi_i) and ``grad_many(x, xis)`` the (n, dim) gradients, one
     row per realization; a single realization is the one-row block
-    ``xi[None]``.
-
-    Ownership: the array ``grad_many`` returns passes to the caller, which
-    may overwrite it (the nested CVaR step weights it in place). Return a
-    fresh array, or ``xis`` itself, a view of it or a read-only array, which
-    ``batch_grads`` copies; never a writable array the problem keeps and
-    reads again.
+    ``xi[None]``. The drivers only read what ``grad_many`` returns.
     """
 
     dim: int
@@ -333,20 +328,11 @@ def batch_values(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     return np.asarray(problem.value_many(x, xis), dtype=float)
 
 
-def batch_grads(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Per-sample gradients, shape (n, dim).
-
-    The result is always an array the caller owns and may overwrite, as the
-    nested CVaR step does (``gradient_stats`` only reads it): a
-    ``grad_many`` result that shares memory with ``xis`` (``-xis`` does
-    not, ``xis`` or a view of it does) is copied, so that writing into it
-    never alters the sample set, and so is a read-only one (such as
-    ``np.broadcast_to`` returns).
-    """
-    grads = np.asarray(problem.grad_many(x, xis), dtype=float)
-    if not grads.flags.writeable or np.shares_memory(grads, xis):
-        grads = grads.copy()
-    return grads
+def batch_grads(problem, x: np.ndarray, xis: np.ndarray):
+    """Per-sample gradients: the (n, dim) array, or the ``ScaledRows`` that
+    ``grad_many`` returns as they are."""
+    grads = problem.grad_many(x, xis)
+    return grads if isinstance(grads, ScaledRows) else np.asarray(grads, dtype=float)
 
 
 def sample_objective(problem, x, sample_set: SampleSet) -> float:
@@ -357,54 +343,92 @@ def sample_objective(problem, x, sample_set: SampleSet) -> float:
     return float(np.mean(batch_values(problem, x, sample_set.realizations)))
 
 
-def _moments(rows: np.ndarray):
-    """(mean, M2) of n >= 1 rows, where M2 = sum_i ||rows_i - c||^2 about
-    the rows' mean c; M2 is exactly 0.0 when n >= 2 and all rows are equal.
-    ``rows`` is only read.
+class ScaledRows:
+    """The rows [scale_i * g_i, tail_i] of the per-sample gradients g_i
+    (n, d) with a scale (n,) and an optional tail (n,), for ``gradient_stats``
+    without the (n, d + 1) array: it forms a block of rows at a time.
+    ``np.asarray`` forms the array."""
+
+    def __init__(self, grads, scale, tail=None):
+        self.grads = np.asarray(grads, dtype=float)
+        self.scale = np.asarray(scale, dtype=float)
+        self.tail = None if tail is None else np.asarray(tail, dtype=float)
+        self.shape = (len(self.grads), self.grads.shape[1] + (tail is not None))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def write(self, part: slice, out: np.ndarray) -> np.ndarray:
+        """Write the rows ``part`` into out, and return out."""
+        np.multiply(self.scale[part, None], self.grads[part], out=out[:, : self.grads.shape[1]])
+        if self.tail is not None:
+            out[:, -1] = self.tail[part]
+        return out
+
+    def __array__(self, dtype=None, copy=None):  # numpy casts to dtype
+        return self.write(slice(0, len(self)), np.empty(self.shape))
+
+
+def _moments(rows):
+    """(mean, M2) of n >= 1 rows, an array or ``ScaledRows``, where M2 =
+    sum_i ||rows_i - c||^2 about the rows' mean c; M2 is exactly 0.0 when
+    n >= 2 and all rows are equal. ``rows`` is only read.
 
     Block b of ``_MOMENT_ROWS`` rows forms its column sum s_b and its M2_b
     about its own mean c_b = s_b / n_b in a scratch buffer of its chunk,
-    under ``_in_parallel`` from two blocks on. The calling thread merges the
-    blocks in block order (Chan, Golub and LeVeque 1979): the mean is
-    sum_b s_b / n and M2 = sum_b M2_b + sum_b n_b ||c_b - c||^2. So the bits
-    do not depend on the CPU count, and one block of two or more columns
-    gives the two-pass bits: ``mean(axis=0)`` and one ``einsum`` over the
-    deviations.
+    under ``_in_parallel`` from two blocks on; the rows of ``ScaledRows``
+    are first written into that buffer, so the calls and bits are those of
+    the array. The calling thread merges the blocks in block order (Chan,
+    Golub and LeVeque 1979): the mean is sum_b s_b / n and M2 = sum_b M2_b
+    + sum_b n_b ||c_b - c||^2. So the bits do not depend on the CPU count,
+    and one block of two or more columns gives the two-pass bits:
+    ``mean(axis=0)`` and one ``einsum`` over the deviations. Overflowed or
+    non-finite rows give a non-finite M2 without a warning.
     """
-    rows = np.asarray(rows, dtype=float)
+    scaled = isinstance(rows, ScaledRows)
+    if not scaled:
+        rows = np.asarray(rows, dtype=float)
     n, d = rows.shape
     sums = np.empty((-(-n // _MOMENT_ROWS), d))
     centers = np.empty_like(sums)
     m2 = np.empty(sums.shape[0])
+    same = np.empty(m2.size, dtype=bool)
+    head = rows.write(slice(0, 2), np.empty((min(n, 2), d))) if scaled else rows[:2]
+    # identical rows must give exactly zero, not summation fuzz; the blocks
+    # are compared with row 0 only when rows 0 and 1 are equal
+    check = n >= 2 and bool(np.all(head[1] == head[0]))
 
     def chunk(part):
         buf = np.empty((min(part.stop - part.start, _MOMENT_ROWS), d))
         tile = np.empty((_SLAB_ROWS, d))
-        for lo in range(part.start, part.stop, _MOMENT_ROWS):
-            b = lo // _MOMENT_ROWS
-            block = rows[lo : min(lo + _MOMENT_ROWS, part.stop)]
-            dev = buf[: block.shape[0]]
-            np.einsum("ij->j", block, out=sums[b])
-            centers[b] = tile[:] = sums[b] / block.shape[0]
-            _rowwise(np.subtract, block, tile, dev)
-            m2[b] = np.einsum("ij,ij->", dev, dev)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(part.start, part.stop, _MOMENT_ROWS):
+                b = lo // _MOMENT_ROWS
+                hi = min(lo + _MOMENT_ROWS, part.stop)
+                dev = buf[: hi - lo]
+                block = rows.write(slice(lo, hi), dev) if scaled else rows[lo:hi]
+                np.einsum("ij->j", block, out=sums[b])
+                same[b] = check and np.all(block == head[0])
+                centers[b] = tile[:] = sums[b] / (hi - lo)
+                _rowwise(np.subtract, block, tile, dev)
+                m2[b] = np.einsum("ij,ij->", dev, dev)
 
     _in_parallel(chunk, n, _MOMENT_ROWS)
-    mean = np.add.reduce(sums, axis=0) / n
-    if n >= 2 and np.all(rows[1] == rows[0]) and np.all(rows == rows[0]):
-        # identical rows must give exactly zero, not summation fuzz; the
-        # two-row check skips the full scan whenever rows 0 and 1 differ
-        return mean, 0.0
-    counts = np.minimum(n - _MOMENT_ROWS * np.arange(m2.size), _MOMENT_ROWS)
-    spread = np.square(centers - mean).sum(axis=1) * counts
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(sums, axis=0) / n
+        if check and same.all():
+            return mean, 0.0
+        counts = np.minimum(n - _MOMENT_ROWS * np.arange(m2.size), _MOMENT_ROWS)
+        spread = np.square(centers - mean).sum(axis=1) * counts
     return mean, sum(m2.tolist()) + sum(spread.tolist())
 
 
-def gradient_stats(grads: np.ndarray) -> GradientStats:
-    """Statistics of a stack of per-sample gradients, or of the SQP step's
-    per-sample directions (an augmentation round forms those of its new
-    rows only), from ``_moments``: the statistic is M2 / ((n - 1) n).
-    ``grads`` is only read."""
+def gradient_stats(grads) -> GradientStats:
+    """Statistics of a stack of per-sample gradients (an array or
+    ``ScaledRows``), or of the SQP step's per-sample directions (an
+    augmentation round forms those of its new rows only), from
+    ``_moments``: the statistic is M2 / ((n - 1) n). ``grads`` is only
+    read."""
     mean, m2 = _moments(grads)
     n = len(grads)
     return GradientStats(mean, m2 / ((n - 1) * n) if n >= 2 else math.nan, n)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .model import StochasticProblem, Stream, batch_grads, batch_values
+from .model import ScaledRows, StochasticProblem, Stream, batch_grads, batch_values
 
 __all__ = [
     "ExtendedProblem",
@@ -131,13 +131,12 @@ class ExtendedProblem:
         fs = batch_values(self.base, x, xis)
         return t + smooth_plus(fs - t, self.epsilon) / (1.0 - self.beta)
 
-    def grad_many(self, z, xis) -> np.ndarray:
+    def grad_many(self, z, xis) -> ScaledRows:
+        """The rows [s_i grad f_i, 1 - s_i] with s_i = sigma((f_i - t)/epsilon)
+        / (1 - beta), as ``ScaledRows``: ``gradient_stats`` reads them
+        without the (n, dim) array, and ``np.asarray`` forms it."""
         x, t = self._split(z)
         fs = batch_values(self.base, x, xis)
         gs = batch_grads(self.base, x, xis)
         s = expit((fs - t) / self.epsilon) / (1.0 - self.beta)
-        out = np.empty((gs.shape[0], gs.shape[1] + 1))
-        np.multiply(s[:, None], gs, out=out[:, :-1])
-        np.subtract(1.0, s, out=out[:, -1])
-        return out
-
+        return ScaledRows(gs, s, 1.0 - s)

@@ -59,8 +59,8 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
         raise ValueError("norm test needs at least two samples (variance undefined)")
     if not math.isfinite(stats.variance_stat):
         raise ValueError(
-            f"norm test got a non-finite variance statistic ({stats.variance_stat}) "
-            f"from {stats.n} samples: a sampled gradient is not finite or overflows"
+            f"norm test got a non-finite variance statistic ({stats.variance_stat}) from "
+            f"{stats.n} samples: a sampled gradient or SQP direction is not finite or overflows"
         )
     reduced_grad = np.asarray(reduced_grad, dtype=float)
     r_sq = float(reduced_grad @ reduced_grad)

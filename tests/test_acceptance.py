@@ -196,7 +196,7 @@ def test_criterion_04_gradient_correctness(basic, portfolio):
     s = draw_samples(extended, 30, 0, 78)
     for _ in range(5):
         z = np.concatenate([rng.normal(size=20) * 0.5 + 0.5, [rng.normal() * 2 + 3]])
-        mean_grad = extended.grad_many(z, s.realizations).mean(axis=0)
+        mean_grad = np.asarray(extended.grad_many(z, s.realizations)).mean(axis=0)
         ok &= fd_check(
             mean_grad,
             lambda w: float(np.mean(extended.value_many(w, s.realizations))),

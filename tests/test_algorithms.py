@@ -339,7 +339,7 @@ class TestRunCvarExtended:
         fd = central_diff(
             lambda w: float(np.mean(extended.value_many(w, s.realizations))), z
         )
-        mean_grad = extended.grad_many(z, s.realizations).mean(axis=0)
+        mean_grad = np.asarray(extended.grad_many(z, s.realizations)).mean(axis=0)
         assert rel_err(fd, mean_grad) <= 1e-6
 
     def test_error_norm_empty_for_risk_averse_run(self, basic):
@@ -435,9 +435,8 @@ class TestOptimizerConfigValidation:
 
 
 class TestGradientOwnership:
-    # the caller may overwrite the gradient array (the nested step does), so
     # a grad_many that hands back the sample array itself must not corrupt
-    # the sample set
+    # the sample set, and must run like one that returns a copy
 
     def test_sample_gradient_leaves_realizations_unchanged(self):
         problem = linear_returning(lambda x, xis: xis)

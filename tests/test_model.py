@@ -4,6 +4,7 @@ import os
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from adasamp import model
 from adasamp.algorithms import OptimizerConfig, run_cvar_extended, run_spgd_adaptive
 from adasamp.model import (
+    ScaledRows,
     StochasticProblem,
     _matvec,
     _row_blocks,
@@ -600,21 +602,99 @@ class TestMoments:
         assert np.array_equal(work, m[0] - v * m)
 
 
+# row counts around the 2048-row blocks of the fold, up to 32 blocks and a
+# row, which the parallel pass splits between workers
+FOLD_SIZES = (2, 3, 2047, 2048, 2049, 4097, 65537)
+
+
+class TestScaledRows:
+    """``gradient_stats`` of ``ScaledRows`` forms the rows a block at a time
+    and gives the bits of the (n, d + 1) array they stand for."""
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        rng = np.random.default_rng(17)
+        n = max(FOLD_SIZES)
+        return rng.normal(size=(n, 20)) * 3.0 + 1.0, rng.random(n) * 10.0
+
+    @staticmethod
+    def materialized(grads, scale, tail):
+        """The array the extended and nested steps formed before the fold."""
+        if not tail:
+            return grads * scale[:, None]
+        out = np.empty((grads.shape[0], grads.shape[1] + 1))
+        np.multiply(scale[:, None], grads, out=out[:, :-1])
+        np.subtract(1.0, scale, out=out[:, -1])
+        return out
+
+    @pytest.mark.parametrize("tail", [True, False], ids=["extended", "nested"])
+    @pytest.mark.parametrize("n", FOLD_SIZES)
+    def test_same_bits_as_the_array_at_one_two_and_three_workers(
+        self, monkeypatch, parts, n, tail
+    ):
+        grads, scale = parts[0][:n], parts[1][:n]
+        rows = ScaledRows(grads, scale, 1.0 - scale if tail else None)
+        whole = self.materialized(grads, scale, tail)
+        assert np.array_equal(np.asarray(rows), whole)
+        set_workers(monkeypatch, 1)
+        want = gradient_stats(whole)
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            stats = gradient_stats(rows)
+            assert np.array_equal(stats.mean_grad, want.mean_grad)
+            assert stats.variance_stat == want.variance_stat and stats.n == n
+
+    @pytest.mark.parametrize("n", [9, 4097])
+    def test_identical_rows_give_exact_zero(self, monkeypatch, n):
+        set_workers(monkeypatch, 2)
+        grads = np.tile(np.array([0.1, -0.7, 1.0 / 3.0]), (n, 1))
+        scale = np.full(n, 0.7)
+        rows = ScaledRows(grads, scale, 1.0 - scale)
+        assert gradient_stats(rows).variance_stat == 0.0
+        grads[n - 1, 1] = 2.0  # equal first rows, one other row in the last block
+        stats = gradient_stats(rows)
+        assert stats.variance_stat > 0.0
+        assert stats.variance_stat == gradient_stats(np.asarray(rows)).variance_stat
+
+    def test_single_row_is_nan(self):
+        rows = ScaledRows(np.array([[1.0, 2.0]]), np.array([0.5]), np.array([0.5]))
+        stats = gradient_stats(rows)
+        assert math.isnan(stats.variance_stat)
+        assert np.array_equal(stats.mean_grad, [0.5, 1.0, 0.5])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowed_rows_give_a_non_finite_statistic_without_a_warning(
+        self, monkeypatch, workers
+    ):
+        set_workers(monkeypatch, workers)
+        grads = np.random.default_rng(5).normal(size=(4097, 3)) * 1e307
+        grads[100] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in (grads, ScaledRows(grads, np.full(4097, 10.0))):
+                assert not math.isfinite(gradient_stats(rows).variance_stat)
+
+
 class TestGradientOwnership:
-    def test_batch_grads_copies_a_result_that_aliases_the_samples(self):
+    # the statistics only read the gradients, so a grad_many result that
+    # aliases the samples or is read-only is used as it is
+
+    def test_aliasing_view_leaves_the_samples_and_gives_the_two_pass_stats(self):
         # f(x; xi) = <x, xi[1:]>: the batched gradient is a view of xis
-        xis = np.random.default_rng(0).random((6, 4))
         problem = StochasticProblem(
             dim=3,
             sampler=lambda s, n: fill_rows(s, n, 4, lambda g, out: g.random(out=out)),
             value_many=lambda x, xis: xis[:, 1:] @ x,
             grad_many=lambda x, xis: xis[:, 1:],
         )
-        grads = batch_grads(problem, np.zeros(3), xis)
-        assert np.array_equal(grads, xis[:, 1:])
-        assert not np.shares_memory(grads, xis)
+        s = draw_samples(problem, 6, 0, 0)
+        before = s.realizations.copy()
+        stats = sample_gradient(problem, np.zeros(3), s)
+        assert np.array_equal(s.realizations, before)
+        mean, var = two_pass_stats(before[:, 1:])
+        assert np.array_equal(stats.mean_grad, mean) and stats.variance_stat == var
 
-    def test_read_only_result_is_copied_before_stats_overwrite_it(self):
+    def test_read_only_broadcast_gives_the_two_pass_stats(self):
         # f(x; xi) = 2 xi (x_0 + x_1); the batched gradient is a read-only
         # broadcast of one column
         problem = StochasticProblem(
@@ -624,8 +704,8 @@ class TestGradientOwnership:
             grad_many=lambda x, xis: np.broadcast_to(2.0 * xis, (xis.shape[0], 2)),
         )
         s = draw_samples(problem, 5, 0, 1)
-        x = np.zeros(2)
-        assert batch_grads(problem, x, s.realizations).flags.writeable
-        mean, var = two_pass_stats(np.broadcast_to(2.0 * s.realizations, (5, 2)))
-        stats = sample_gradient(problem, x, s)
+        before = s.realizations.copy()
+        stats = sample_gradient(problem, np.zeros(2), s)
+        assert np.array_equal(s.realizations, before)
+        mean, var = two_pass_stats(np.broadcast_to(2.0 * before, (5, 2)))
         assert np.array_equal(stats.mean_grad, mean) and stats.variance_stat == var

@@ -341,6 +341,27 @@ class TestCommandLine:
             "error: cannot project onto the simplex: entries of magnitude up to"
         )
 
+    def test_overflowing_sqp_directions_are_named_without_a_moment_warning(
+        self, tmp_path, capsys
+    ):
+        # the moment kernel warned "invalid value encountered in subtract"
+        # before the error line, which blamed a sampled gradient
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "--problem", "portfolio", "--algorithm", "sqp", "--alpha", "1e307",
+                       "--max-iters", "3", "--output", str(tmp_path / "run.csv")])
+        assert rc == 2
+        assert "a sampled gradient or SQP direction is not finite" in capsys.readouterr().err
+        assert not [w for w in caught if w.filename.endswith("model.py")]
+
+    def test_a_fixed_run_has_no_sample_cap(self, tmp_path):
+        # a fixed run has no test, so --max-sample-size below --s0 is unused
+        rc = main(["run", "--problem", "basic", "--algorithm", "spgd-fixed",
+                   "--fixed-sample-size", "5", "--max-sample-size", "3", "--max-iters", "2",
+                   "--output", str(tmp_path / "run.csv")])
+        assert rc == 0
+        assert {r.sample_size for r in read_csv(tmp_path / "run.csv")} == {5}
+
     @pytest.mark.parametrize("algorithm, alpha", [("spgd", "1e308"), ("sqp", "1e307"),
                                                   ("spgd", "1.7e308")])
     def test_a_huge_step_exits_with_an_error_line_under_w_error(self, tmp_path, algorithm, alpha):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from adasamp import risk
 from adasamp.algorithms import OptimizerConfig, run_nested_quantile
-from adasamp.model import draw_samples
+from adasamp.model import ScaledRows, draw_samples, gradient_stats, sample_gradient
 from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.risk import ExtendedProblem, quantile_solve, smooth_plus, smoothed_cvar
 from adasamp.sizing import TestConfig
-from oracles import central_diff, cvar_empirical, rel_err, var_empirical
+from oracles import central_diff, cvar_empirical, rel_err, set_workers, var_empirical
 
 RNG = np.random.default_rng(99)
 
@@ -268,7 +269,7 @@ class TestExtendProblem:
         rng = np.random.default_rng(8)
         for _ in range(5):
             z = np.concatenate([np.abs(rng.normal(size=20)), [rng.normal()]])
-            grads = extended.grad_many(z, s.realizations)
+            grads = np.asarray(extended.grad_many(z, s.realizations))
             mean_grad = grads.mean(axis=0)
             fd = central_diff(
                 lambda w: float(np.mean(extended.value_many(w, s.realizations))), z
@@ -280,8 +281,39 @@ class TestExtendProblem:
         x = np.ones(20)
         f = extended.base.value_many(x, xi[None])[0]
         z = np.concatenate([x, [f - 100.0]])  # f >> t
-        g = extended.grad_many(z, xi[None])[0]
+        g = np.asarray(extended.grad_many(z, xi[None]))[0]
         assert g[-1] == pytest.approx(1.0 - 1.0 / (1.0 - 0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 2049, 65537])
+    def test_sample_gradient_has_the_bits_of_the_gradient_array(self, monkeypatch, extended, n):
+        # the statistics read the scaled rows a block at a time, with the
+        # bits of the (n, 21) array np.asarray forms
+        s = draw_samples(extended, n, 0, 5)
+        z = np.concatenate([np.full(20, 0.3), [0.8]])
+        rows = extended.grad_many(z, s.realizations)
+        assert isinstance(rows, ScaledRows) and len(rows) == n
+        want = gradient_stats(np.asarray(rows))
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            stats = sample_gradient(extended, z, s)
+            assert np.array_equal(stats.mean_grad, want.mean_grad)
+            assert stats.variance_stat == want.variance_stat
+
+    def test_one_gradient_step_peaks_below_one_point_15_gradient_arrays(self):
+        # at 2*10^5 rows and d = 100 the base gradients are 160 MB; the
+        # (n, d + 1) array of the weighted rows took the peak to 2.03 times that
+        base, _ = make_portfolio(0)
+        extended = ExtendedProblem(base, 0.9, 0.1)
+        n, d = 200_000, base.dim
+        s = draw_samples(extended, n, 0, 0)
+        z = np.concatenate([np.full(d, 1.0 / d), [0.0]])
+        tracemalloc.start()
+        try:
+            sample_gradient(extended, z, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * n * d * 8
 
     def test_dim_and_validation(self, extended):
         assert extended.dim == 21
