@@ -47,21 +47,20 @@ STREAM_PARAMS = 1
 # The layout of the sample rows, recorded in every run's metadata:
 # 2 = keyed SFC64 blocks of _STREAM_BLOCK_ROWS rows.
 STREAM_VERSION = 2
-# Rows per keyed block of the sample stream, a multiple of 512 (see
-# ``fill_rows``). Keying a block costs about 21 us.
+# Rows per keyed block of the sample stream and per block of ``_moments``,
+# a multiple of _BLOCK_ROWS. Keying a block costs about 21 us.
 _STREAM_BLOCK_ROWS = 2048
 
-# Rows per block of the blocked per-sample passes.
-_BLOCK_ROWS = 512
-_MOMENT_ROWS = 2048  # rows per block of ``_moments``, a multiple of 512
+# Rows per BLAS call of the per-row products (``_blocked_matmul``).
+_BLOCK_ROWS = 128
 _SLAB_ROWS = 128  # rows per slab of a tiled row-vector broadcast (``_rowwise``)
 
 # Passes over fewer rows run on the calling thread. On two CPUs, split
 # passes made the extended portfolio iteration at 10^4 rows up to 10%
 # slower: waking the pool and handing chunks over cost more than they saved.
 _PARALLEL_MIN_ROWS = 32768
-# Largest chunk of a parallel pass, in 512-row blocks (8192 rows).
-_CHUNK_BLOCKS = 16
+# Largest chunk of a parallel pass, in rows.
+_CHUNK_ROWS = 8192
 
 
 def stream_rng(base_seed: int, *stream: int) -> np.random.Generator:
@@ -187,42 +186,28 @@ def fill_rows(
     return out[stream.start - first :]
 
 
-def _row_blocks(stop: int, start: int = 0, size: int = _BLOCK_ROWS):
-    """Row slices of ``size`` rows (a multiple of 512) covering rows
-    start..stop-1, where start is 0 or a multiple of 512; a one-row tail
-    joins the slice before it.
+def _blocked_matmul(m: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = m @ w in one BLAS call per ``_BLOCK_ROWS`` rows of m, for a
+    matrix or vector w; out is C-contiguous and does not overlap m.
 
-    With the default size these are the blocks of a blocked pass. Blocks
-    start at multiples of 512, so the BLAS kernel groups rows as one
-    single-threaded call over all rows does: same bits. A one-row block
-    would go through numpy's dot, which sums in another order, hence the
-    joined tail. The blocked results were also the same at one to four BLAS
-    threads, whereas one large call is split between threads, and the rows
-    at the split change in the last bit. A run of whole slices of a larger
-    size holds whole blocks.
+    BLAS sums in an order that depends on the operand shape, and one large
+    call is split between BLAS threads. So every call here has the full
+    block shape: the full blocks go through one stacked matmul, which makes
+    the same per-block calls as a loop over them, and a partial block, even
+    of one row, is zero-padded to the full block. Row i of out then depends
+    on row i of m alone, at any row count and BLAS thread count, as long as
+    m starts at a block boundary of its pass.
     """
-    while start < stop:
-        end = min(start + size, stop)
-        if end == stop - 1:
-            end = stop
-        yield slice(start, end)
-        start = end
-
-
-def _block_matvec(m: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """out[:] = m @ v with one BLAS call per ``_row_blocks`` block of m,
-    where the rows of m are a run of whole blocks of the pass. The full
-    512-row blocks go through one stacked matmul, which makes the same
-    per-block BLAS calls as a loop over them."""
-    n = m.shape[0]
-    k = n // _BLOCK_ROWS
-    if k and n - k * _BLOCK_ROWS == 1:
-        k -= 1  # the one-row tail joins the last block
-    full = k * _BLOCK_ROWS
+    n, d = m.shape
+    k, r = divmod(n, _BLOCK_ROWS)
+    full = n - r
     if k:
-        np.matmul(m[:full].reshape(k, _BLOCK_ROWS, -1), v, out=out[:full].reshape(k, _BLOCK_ROWS))
-    if full < n:
-        np.matmul(m[full:], v, out=out[full:])
+        out_blocks = out[:full].reshape((k, _BLOCK_ROWS) + out.shape[1:])
+        np.matmul(m[:full].reshape(k, _BLOCK_ROWS, d), w, out=out_blocks)
+    if r:
+        padded = np.zeros((_BLOCK_ROWS, d))
+        padded[:r] = m[full:]
+        out[full:] = (padded @ w)[:r]
 
 
 def _tile(v: np.ndarray) -> np.ndarray:
@@ -271,27 +256,27 @@ def _executor():
 def _in_parallel(fn: Callable[[slice], None], n: int, step: Optional[int] = None) -> None:
     """Call ``fn(rows)`` on row chunks that cover rows 0..n-1 once.
 
-    Each chunk is a run of whole ``_row_blocks(n)`` blocks, so a chunk's
-    blocks are the pass's blocks and a blocked BLAS call sees the rows it
-    sees in a serial pass. The calling thread and one pool thread per
-    further CPU of the process take chunks in turn until none is left, so a
-    CPU that another process slows takes fewer. By default a pass below
-    ``_PARALLEL_MIN_ROWS`` rows runs whole on the calling thread; with
-    ``step`` (a multiple of 512), chunks are ``step`` rows and a pass of two
-    chunks splits. ``fn`` runs on pool threads, so it may only do numpy work
-    on rows it owns: in particular it must not call a problem's evaluators
-    or any traced ``adasamp`` function.
+    Chunks are ``step`` rows, a multiple of ``_BLOCK_ROWS``, and the last
+    one is truncated, so a chunk's blocks are the pass's blocks and a
+    blocked BLAS call sees the rows it sees in a serial pass. The calling
+    thread and one pool thread per further CPU of the process take chunks
+    in turn until none is left, so a CPU that another process slows takes
+    fewer. By default a pass below ``_PARALLEL_MIN_ROWS`` rows runs whole on
+    the calling thread, and ``step`` is chosen from n; with ``step`` given,
+    a pass of two chunks splits. ``fn`` runs on pool threads, so it may only
+    do numpy work on rows it owns: in particular it must not call a
+    problem's evaluators or any traced ``adasamp`` function.
     """
     workers = _workers()
     if step is None:
         if n < _PARALLEL_MIN_ROWS:
             workers = 1
-        # at least two chunks per CPU, of at most _CHUNK_BLOCKS blocks
-        step = max(1, min(_CHUNK_BLOCKS, n // _BLOCK_ROWS // (2 * workers))) * _BLOCK_ROWS
-    if workers < 2 or n <= step + 1:  # one chunk
+        # at least two chunks per CPU, of 512 to _CHUNK_ROWS rows
+        step = max(512, min(_CHUNK_ROWS, n // (2 * workers)) // 512 * 512)
+    if workers < 2 or n <= step:  # one chunk
         fn(slice(0, n))
         return
-    chunks = iter(list(_row_blocks(n, 0, step)))
+    chunks = iter([slice(lo, min(lo + step, n)) for lo in range(0, n, step)])
     lock = threading.Lock()
 
     def drain():
@@ -317,9 +302,9 @@ def _in_parallel(fn: Callable[[slice], None], n: int, step: Optional[int] = None
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v, in the row blocks of ``_row_blocks``."""
+    """m @ v, in the row blocks of ``_blocked_matmul``."""
     out = np.empty(m.shape[0])
-    _in_parallel(lambda rows: _block_matvec(m[rows], v, out[rows]), m.shape[0])
+    _in_parallel(lambda rows: _blocked_matmul(m[rows], v, out[rows]), m.shape[0])
     return out
 
 
@@ -374,8 +359,8 @@ def _moments(rows):
     sum_i ||rows_i - c||^2 about the rows' mean c; M2 is exactly 0.0 when
     n >= 2 and all rows are equal. ``rows`` is only read.
 
-    Block b of ``_MOMENT_ROWS`` rows forms its column sum s_b and its M2_b
-    about its own mean c_b = s_b / n_b in a scratch buffer of its chunk,
+    Block b of ``_STREAM_BLOCK_ROWS`` rows forms its column sum s_b and its
+    M2_b about its own mean c_b = s_b / n_b in a scratch buffer of its chunk,
     under ``_in_parallel`` from two blocks on; the rows of ``ScaledRows``
     are first written into that buffer, so the calls and bits are those of
     the array. The calling thread merges the blocks in block order (Chan,
@@ -389,7 +374,7 @@ def _moments(rows):
     if not scaled:
         rows = np.asarray(rows, dtype=float)
     n, d = rows.shape
-    sums = np.empty((-(-n // _MOMENT_ROWS), d))
+    sums = np.empty((-(-n // _STREAM_BLOCK_ROWS), d))
     centers = np.empty_like(sums)
     m2 = np.empty(sums.shape[0])
     same = np.empty(m2.size, dtype=bool)
@@ -399,12 +384,12 @@ def _moments(rows):
     check = n >= 2 and bool(np.all(head[1] == head[0]))
 
     def chunk(part):
-        buf = np.empty((min(part.stop - part.start, _MOMENT_ROWS), d))
+        buf = np.empty((min(part.stop - part.start, _STREAM_BLOCK_ROWS), d))
         tile = np.empty((_SLAB_ROWS, d))
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(part.start, part.stop, _MOMENT_ROWS):
-                b = lo // _MOMENT_ROWS
-                hi = min(lo + _MOMENT_ROWS, part.stop)
+            for lo in range(part.start, part.stop, _STREAM_BLOCK_ROWS):
+                b = lo // _STREAM_BLOCK_ROWS
+                hi = min(lo + _STREAM_BLOCK_ROWS, part.stop)
                 dev = buf[: hi - lo]
                 block = rows.write(slice(lo, hi), dev) if scaled else rows[lo:hi]
                 np.einsum("ij->j", block, out=sums[b])
@@ -413,12 +398,12 @@ def _moments(rows):
                 _rowwise(np.subtract, block, tile, dev)
                 m2[b] = np.einsum("ij,ij->", dev, dev)
 
-    _in_parallel(chunk, n, _MOMENT_ROWS)
+    _in_parallel(chunk, n, _STREAM_BLOCK_ROWS)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.add.reduce(sums, axis=0) / n
         if check and same.all():
             return mean, 0.0
-        counts = np.minimum(n - _MOMENT_ROWS * np.arange(m2.size), _MOMENT_ROWS)
+        counts = np.minimum(n - _STREAM_BLOCK_ROWS * np.arange(m2.size), _STREAM_BLOCK_ROWS)
         spread = np.square(centers - mean).sum(axis=1) * counts
     return mean, sum(m2.tolist()) + sum(spread.tolist())
 

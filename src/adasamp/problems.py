@@ -20,13 +20,11 @@ from .geometry import (
     UnitSimplex,
 )
 from .model import (
-    _BLOCK_ROWS,
     STREAM_PARAMS,
     StochasticProblem,
-    _block_matvec,
+    _blocked_matmul,
     _in_parallel,
     _matvec,
-    _row_blocks,
     _rowwise,
     _tile,
     fill_rows,
@@ -45,8 +43,9 @@ BASIC_DIM = 20
 PORTFOLIO_DIM = 100
 RETURN_THRESHOLD = 1.05
 
-# Rows per elementwise step of the basic value pass (eight 512-row
-# blocks): a few numpy calls per 4096 rows, and a buffer of 4097 x 20.
+# Rows per elementwise step of the basic value pass (32 blocks of
+# ``_blocked_matmul``): a few numpy calls per 4096 rows, and a buffer of
+# 4096 x 20.
 _VALUE_GROUP_ROWS = 4096
 
 
@@ -84,18 +83,19 @@ class BasicExample:
 
         def value_many(x, xis):
             # (x - b*xi)^2 @ a: the elementwise part on groups of blocks in
-            # one small buffer per chunk, the matmul per 512-row block
+            # one small buffer per chunk, the matmul per block
             values = np.empty(xis.shape[0])
             x_tile = _tile(x)
 
             def chunk(rows):
-                buf = np.empty((min(rows.stop - rows.start, _VALUE_GROUP_ROWS + 1), BASIC_DIM))
-                for group in _row_blocks(rows.stop, rows.start, _VALUE_GROUP_ROWS):
-                    r = buf[: group.stop - group.start]
+                buf = np.empty((min(rows.stop - rows.start, _VALUE_GROUP_ROWS), BASIC_DIM))
+                for lo in range(rows.start, rows.stop, _VALUE_GROUP_ROWS):
+                    group = slice(lo, min(lo + _VALUE_GROUP_ROWS, rows.stop))
+                    r = buf[: group.stop - lo]
                     _rowwise(np.multiply, xis[group], neg_b_tile, r)
                     _rowwise(np.add, r, x_tile, r)
                     np.square(r, out=r)
-                    _block_matvec(r, a, values[group])
+                    _blocked_matmul(r, a, values[group])
 
             _in_parallel(chunk, xis.shape[0])
             return values
@@ -133,33 +133,6 @@ def _max_return_infeasible(A: np.ndarray) -> bool:
     return float(np.max(A)) < RETURN_THRESHOLD
 
 
-def _correlate_chunk(u: np.ndarray, B: np.ndarray, A: np.ndarray, out: np.ndarray) -> None:
-    """out[:] = A + u @ B.T, computed in fixed-shape 512-row blocks, where u
-    holds the normals of one keyed block of the draw, from its first row (a
-    truncated block ends in a partial 512-row block), and out does not
-    overlap u.
-
-    BLAS accumulation order depends on operand shapes, so a plain matmul
-    makes row i of the product vary (at the last ulp) with the number of
-    rows drawn; fixed-shape blocks keep realization i a function of row i
-    alone, which the sampling contract (prefix stability) requires. The full
-    blocks go through one stacked matmul, which makes the same per-block
-    BLAS calls as a loop over them, and a partial block, even of one row, is
-    zero-padded to the full block shape.
-    """
-    m, d = u.shape
-    k = m // _BLOCK_ROWS
-    full = k * _BLOCK_ROWS
-    if k:
-        shape = (k, _BLOCK_ROWS, d)
-        np.matmul(u[:full].reshape(shape), B.T, out=out[:full].reshape(shape))
-    if full < m:
-        padded = np.zeros((_BLOCK_ROWS, d))
-        padded[: m - full] = u[full:]
-        out[full:] = (padded @ B.T)[: m - full]
-    np.add(out, A, out=out)
-
-
 @dataclass(frozen=True, eq=False)
 class PortfolioProblem:
     """Linear loss f(x; xi) = -<xi, x> with xi = A + B u, u ~ N(0, I), over
@@ -169,8 +142,9 @@ class PortfolioProblem:
 
     The sampler draws the normals u of each keyed block of the stream
     (``fill_rows``) and writes their correlated and shifted rows into the
-    block's output rows (``_correlate_chunk``), so realization i is the
-    same at any CPU count."""
+    block's output rows, with ``_blocked_matmul`` from the block's first
+    row, so realization i is a function of (seed, iteration, i) alone at any
+    row count, CPU count and BLAS thread count (prefix stability)."""
 
     A: np.ndarray
     B: np.ndarray
@@ -196,12 +170,13 @@ class PortfolioProblem:
         def fill(g, out):
             # a separate array of normals: a product written over its own
             # input makes numpy copy that input first
-            _correlate_chunk(g.standard_normal(out.shape), B, A, out)
+            _blocked_matmul(g.standard_normal(out.shape), B.T, out)
+            np.add(out, A, out=out)
 
         problem = StochasticProblem(
             dim=PORTFOLIO_DIM,
             sampler=lambda stream, n: fill_rows(stream, n, PORTFOLIO_DIM, fill),
-            # negation is exact: the same bits as -(xis @ x) at one thread
+            # negation is exact: the bits of -(xis @ x) in blocked calls
             value_many=lambda x, xis: _matvec(xis, -x),
             grad_many=lambda x, xis: -xis,
             params={"A": A, "B": B, "seed": self.seed, "redraws": self.redraws},

@@ -9,8 +9,8 @@ hyperplane (leaf sets no driver or CLI path projects onto), the exact
 empirical VaR and CVaR, one projected gradient step as the drivers take it,
 a Monte-Carlo check of the moments the sample-size theory controls, the
 setting of the worker count under which the parallel passes run, and the
-keyed sample stream and the blocked moment kernel written out block by
-block.
+keyed sample stream, the blocked product and the blocked moment kernel
+written out block by block.
 """
 
 import itertools
@@ -144,15 +144,29 @@ def keyed_rows(seed, iteration, n, draw):
     return np.concatenate(blocks)
 
 
+def blocked_product(m, w):
+    """``model._blocked_matmul`` written out: m @ w with one new array per
+    block of ``model._BLOCK_ROWS`` rows, and the last partial block
+    zero-padded to the full block shape."""
+    size = model._BLOCK_ROWS
+    blocks = []
+    for lo in range(0, m.shape[0], size):
+        rows = m[lo : lo + size]
+        padded = np.zeros((size, m.shape[1]))
+        padded[: rows.shape[0]] = rows
+        blocks.append((padded @ w)[: rows.shape[0]])
+    return np.concatenate(blocks)
+
+
 def blocked_moments(rows):
     """``model._moments`` written out: (mean, M2) from blocks of
-    ``model._MOMENT_ROWS`` rows, each with its column sum s_b and its
+    ``model._STREAM_BLOCK_ROWS`` rows, each with its column sum s_b and its
     deviation sum M2_b about its mean c_b, merged in block order as mean =
     sum_b s_b / n and M2 = sum_b M2_b + sum_b n_b ||c_b - mean||^2; M2 is
     0.0 for identical rows."""
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[0]
-    size = model._MOMENT_ROWS
+    size = model._STREAM_BLOCK_ROWS
     blocks = [rows[lo : lo + size] for lo in range(0, n, size)]
     sums = [block.sum(axis=0) for block in blocks]
     total = sums[0]
@@ -279,7 +293,7 @@ def random_sets(dim, rng):
     a = rng.normal(size=dim)
     a[np.abs(a) < 0.1] += 0.2
     lower = rng.normal(size=dim) - 1.0
-    return [
+    sets = [
         NonNegativeOrthant(dim),
         Box(lower, lower + np.abs(rng.normal(size=dim)) + 0.5),
         UnitSimplex(dim),
@@ -287,10 +301,24 @@ def random_sets(dim, rng):
         Hyperplane(a, float(rng.normal() * 0.3)),
         Hyperplane(a, -float(rng.normal() * 0.5)),
         Intersection((NonNegativeOrthant(dim), Hyperplane(np.ones(dim), 1.0))),
-        Intersection(
-            (UnitSimplex(dim), Halfspace(np.abs(rng.normal(size=dim)) + 0.2, 0.3))
-        ),
     ]
+    # normal entries spaced by factors of about 2, in random order: a cut
+    # whose entries are nearly equal is nearly parallel to the simplex, and
+    # Dykstra then needs thousands of cycles
+    z = np.abs(rng.normal(size=dim))
+    normal = 2.0 ** np.argsort(np.argsort(z)) * (1.0 + 0.1 * np.minimum(z, 1.0))
+    return sets + [simplex_cut(normal)]
+
+
+def simplex_cut(normal):
+    """The unit simplex cut by the halfspace <normal, x> >= offset, with the
+    offset halfway between the two largest normal entries. On the simplex
+    <normal, x> ranges from the smallest to the largest entry, so the set is
+    never empty (the vertex of the largest entry is in it), and the cut is
+    proper when the two largest entries differ."""
+    normal = np.asarray(normal, dtype=float)
+    top = np.sort(normal)[-2:]
+    return Intersection((UnitSimplex(normal.size), Halfspace(normal, float(top.mean()))))
 
 
 def kkt_sqp_oracle(grad_F, grad_G, G_val, alpha):

@@ -19,6 +19,7 @@ from oracles import (
     full_space,
     qp_projection_oracle,
     random_sets,
+    simplex_cut,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -159,6 +160,22 @@ def test_all_variants_match_oracle():
             got = project(cset, y).point
             want = qp_projection_oracle(cset, y)
             np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+def test_random_simplex_cuts_are_never_empty():
+    # the vertex of the largest normal entry lies in every cut, which
+    # projects it onto itself; at the old fixed offset 0.3 the normal
+    # [0.242, 0.220] cut the whole simplex away
+    cuts = [simplex_cut([0.242, 0.220])]
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        cuts.append(random_sets(int(rng.integers(2, 7)), rng)[-1])
+    for cset in cuts:
+        simplex, half = cset.members
+        assert isinstance(simplex, UnitSimplex) and isinstance(half, Halfspace)
+        vertex = np.eye(half.dim)[np.argmax(half.normal)]
+        assert half.normal @ vertex >= half.offset > half.normal.min()
+        assert np.array_equal(project(cset, vertex).point, vertex)
 
 
 @st.composite

@@ -14,8 +14,8 @@ from adasamp.algorithms import OptimizerConfig, run_cvar_extended, run_spgd_adap
 from adasamp.model import (
     ScaledRows,
     StochasticProblem,
+    _blocked_matmul,
     _matvec,
-    _row_blocks,
     Stream,
     batch_grads,
     draw_samples,
@@ -29,6 +29,7 @@ from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.sizing import TestConfig
 from oracles import (
     blocked_moments,
+    blocked_product,
     central_diff,
     keyed_rows,
     rel_err,
@@ -205,8 +206,22 @@ class TestSamplerShape:
             extend_samples(bad, good, 16)
 
 
-# 4097 = 8 * 512 + 1 and 12289 = 24 * 512 + 1 end in a one-row tail, which
-# joins the block before it; 5000 ends in a partial block
+class TestBlockedMatmul:
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1300])
+    @pytest.mark.parametrize("cols", [None, 100])
+    def test_plain_product_in_padded_blocks(self, n, cols):
+        # a vector, or a transposed matrix as the sampler's B.T
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((n, 100))
+        w = rng.uniform(0.0, 0.1, size=100 if cols is None else (cols, 100)).T
+        out = np.empty((n,) + w.shape[1:])
+        _blocked_matmul(m, w, out)
+        assert np.array_equal(out, blocked_product(m, w))
+        np.testing.assert_allclose(out, m @ w, rtol=1e-13, atol=1e-15)
+
+
+# 4097 = 32 * 128 + 1 and 12289 = 96 * 128 + 1 end in a one-row block of
+# 128 rows, which is zero-padded; 5000 ends in a partial block of 8 rows
 PASS_SIZES = (4097, 5000, 12289)
 
 
@@ -234,10 +249,8 @@ class TestRowParallelPasses:
         serial = self.at_workers(monkeypatch, 1, passes)
         parallel = self.at_workers(monkeypatch, workers, passes)
         for n, (values, grads), (pvalues, pgrads) in zip(PASS_SIZES, serial, parallel):
-            # the per-block formula, written out
-            ref = np.empty(n)
-            for rows in _row_blocks(n):
-                ref[rows] = ((x - b * xis[rows]) ** 2) @ a
+            # the formula, in zero-padded blocks
+            ref = blocked_product((x - b * xis[:n]) ** 2, a)
             assert np.array_equal(values, ref) and np.array_equal(pvalues, ref)
             assert np.array_equal(grads, 2.0 * a * (x - b * xis[:n]))
             assert np.array_equal(pgrads, grads)
@@ -248,7 +261,8 @@ class TestRowParallelPasses:
         v = np.random.default_rng(1).normal(size=100)
         serial = self.at_workers(monkeypatch, 1, lambda n: _matvec(m[:n], v))
         parallel = self.at_workers(monkeypatch, workers, lambda n: _matvec(m[:n], v))
-        for got, want in zip(parallel, serial):
+        for n, got, want in zip(PASS_SIZES, parallel, serial):
+            assert np.array_equal(want, blocked_product(m[:n], v))
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -564,7 +578,7 @@ class TestMoments:
     def test_agrees_with_two_pass_stats(self, rows, n):
         stats = gradient_stats(rows[:n])
         mean, var = two_pass_stats(rows[:n])
-        if n <= model._MOMENT_ROWS:  # one block: the two-pass bits
+        if n <= model._STREAM_BLOCK_ROWS:  # one block: the two-pass bits
             assert np.array_equal(stats.mean_grad, mean) and stats.variance_stat == var
         np.testing.assert_allclose(stats.mean_grad, mean, rtol=1e-13)
         assert stats.variance_stat == pytest.approx(var, rel=1e-13)

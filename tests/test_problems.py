@@ -6,34 +6,18 @@ import numpy as np
 import pytest
 
 from adasamp import model, problems
+from adasamp.algorithms import sqp_directions
 from adasamp.geometry import Intersection, NonNegativeOrthant, project
 from adasamp.model import Stream, batch_grads, draw_samples
 from adasamp.problems import (
     BasicExample,
     PortfolioProblem,
-    _correlate_chunk,
     _max_return_infeasible,
     basic_optimum,
     make_basic_example,
     make_portfolio,
 )
-from oracles import central_diff, keyed_rows, rel_err, set_workers
-
-
-def block_correlate_reference(u, B, block=512):
-    """The block product as first written: a new array per block, and the
-    last partial block zero-padded to the full block shape."""
-    n = u.shape[0]
-    out = np.empty((n, B.shape[0]))
-    for start in range(0, n, block):
-        rows = u[start:start + block]
-        if rows.shape[0] < block:
-            padded = np.zeros((block, u.shape[1]))
-            padded[: rows.shape[0]] = rows
-            out[start:] = (padded @ B.T)[: rows.shape[0]]
-        else:
-            out[start:start + block] = rows @ B.T
-    return out
+from oracles import blocked_product, central_diff, keyed_rows, rel_err, set_workers
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +63,14 @@ class TestBasicExample:
 
     @pytest.mark.parametrize("n", [1, 7, 511, 512, 513, 1000, 1025])
     def test_batched_evaluators_match_reference_expressions_exactly(self, basic, n):
+        # the values' product in zero-padded 128-row blocks
         problem, _ = basic
         a, b = problem.params["a"], problem.params["b"]
         xis = draw_samples(problem, n, 0, 12).realizations
         before = xis.copy()
         for x in (np.zeros(20), np.random.default_rng(n).normal(size=20)):
-            assert np.array_equal(problem.value_many(x, xis), ((x - b * xis) ** 2) @ a)
+            want = blocked_product((x - b * xis) ** 2, a)
+            assert np.array_equal(problem.value_many(x, xis), want)
             assert np.array_equal(problem.grad_many(x, xis), 2.0 * a * (x - b * xis))
         assert np.array_equal(xis, before)
 
@@ -184,18 +170,19 @@ class TestPortfolio:
             big = draw_samples(problem, n_big, 3, 42)
             np.testing.assert_array_equal(big.realizations[:n_small], small.realizations)
 
-    # 513, 1025, 1537, 2049 and 4097 end in a one-row 512-row block, which
-    # is zero-padded; 2049 and 4097 also end in a one-row keyed block
+    # 1, 129, 513, 1025, 1537, 2049 and 4097 end in a one-row block of 128
+    # rows, which is zero-padded; 2049 and 4097 also end in a one-row keyed
+    # block
     @pytest.mark.parametrize(
-        "n", [1, 511, 512, 513, 1023, 1024, 1025, 1500, 1537, 2049, 4097, 20003]
+        "n", [1, 127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 1500, 1537, 2049, 4097, 20003]
     )
     def test_sampler_matches_reference_block_product_exactly(self, monkeypatch, portfolio, n):
-        # each keyed block's normals, correlated per 512-row block of that
+        # each keyed block's normals, correlated per 128-row block of that
         # keyed block (a truncated block ends in a zero-padded one)
         problem, _ = portfolio
         A, B = problem.params["A"], problem.params["B"]
         want = keyed_rows(
-            5, n, n, lambda g, rows: A + block_correlate_reference(g.standard_normal((rows, 100)), B)
+            5, n, n, lambda g, rows: A + blocked_product(g.standard_normal((rows, 100)), B.T)
         )
         for workers in (1, 2, 3):
             set_workers(monkeypatch, workers)
@@ -208,24 +195,24 @@ class TestPortfolio:
         A, B = problem.params["A"], problem.params["B"]
         n = 5 * model._STREAM_BLOCK_ROWS + 700
         want = keyed_rows(
-            5, 0, n, lambda g, rows: A + block_correlate_reference(g.standard_normal((rows, 100)), B)
+            5, 0, n, lambda g, rows: A + blocked_product(g.standard_normal((rows, 100)), B.T)
         )
         lock = threading.Lock()
         started, finished = [], []
-        correlate = problems._correlate_chunk
+        product = problems._blocked_matmul
 
-        def slow(u, B, A, out):
+        def slow(u, w, out):
             with lock:
                 started.append(u.shape[0])
             threading.Event().wait(0.005)
-            correlate(u, B, A, out)
+            product(u, w, out)
             with lock:
                 finished.append(u.shape[0])
 
         pool = ThreadPoolExecutor(3)
         monkeypatch.setattr(model, "_pool", pool)
         monkeypatch.setattr(model, "_pool_pid", os.getpid())
-        monkeypatch.setattr(problems, "_correlate_chunk", slow)
+        monkeypatch.setattr(problems, "_blocked_matmul", slow)
         set_workers(monkeypatch, 4)
         try:
             got = problem.sampler(Stream(5, 0), n)
@@ -238,12 +225,41 @@ class TestPortfolio:
         assert sum(finished) == n
         assert np.array_equal(got, want)
 
-    def test_correlate_matches_plain_product(self):
-        # the sampler's correlate step: the shifted product, in fixed blocks
-        rng = np.random.default_rng(8)
-        u = rng.standard_normal((1300, 100))
-        B = rng.uniform(0.0, 0.1, size=(100, 100))
-        A = rng.uniform(0.9, 1.2, size=100)
-        out = np.empty_like(u)
-        _correlate_chunk(u, B, A, out)
-        np.testing.assert_allclose(out, A + u @ B.T, rtol=1e-13, atol=1e-15)
+
+# sizes on both sides of the 128-row blocks of the per-row products and of
+# the 2048-row keyed blocks; 4097 and 20003 split into chunks from two
+# workers on
+ROW_LOCAL_SIZES = (1, 2, 127, 128, 129, 255, 257, 511, 513, 2049, 4097, 20003)
+
+
+class TestRowLocalProducts:
+    """Row i of the value pass and of the SQP directions over n rows equals
+    row i over any other number of rows, at one, two and three workers:
+    every per-row product runs in full-shape BLAS calls, the partial block
+    zero-padded."""
+
+    @pytest.fixture(scope="class", params=["basic", "portfolio"])
+    def case(self, request):
+        make = make_basic_example if request.param == "basic" else make_portfolio
+        problem, _ = make(3)
+        xis = draw_samples(problem, max(ROW_LOCAL_SIZES), 1, 6).realizations
+        x = np.linspace(0.5, 1.5, problem.dim) / problem.dim
+        return problem, xis, x
+
+    def assert_row_local(self, monkeypatch, fn):
+        set_workers(monkeypatch, 1)
+        want = fn(max(ROW_LOCAL_SIZES))
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            for n in ROW_LOCAL_SIZES:
+                assert np.array_equal(fn(n), want[:n]), (workers, n)
+
+    def test_value_rows(self, monkeypatch, case):
+        problem, xis, x = case
+        self.assert_row_local(monkeypatch, lambda n: problem.value_many(x, xis[:n]))
+
+    def test_sqp_direction_rows(self, monkeypatch, case):
+        problem, xis, x = case
+        grads = np.asarray(batch_grads(problem, x, xis))
+        grad_G = 2.0 * x
+        self.assert_row_local(monkeypatch, lambda n: sqp_directions(grads[:n], grad_G, 0.25, 0.025))

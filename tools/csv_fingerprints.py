@@ -19,11 +19,10 @@ against each version's ``src`` and diff the outputs:
     diff before.txt after.txt
 
 The output is the same at one and two BLAS threads and at any CPU count,
-because the large matrix-vector products run in fixed 512-row blocks, whose
-bits do not change with the thread count, and the sample rows come from
-keyed blocks (stream version 2). One thread is still needed to compare
-against versions that ran the portfolio's ``xis @ x`` as one call: its rows
-at the thread split change in the last bit.
+because every per-row product (the portfolio draw's correlate, the value
+passes, the SQP directions) runs in BLAS calls of 128 rows with the partial
+block zero-padded, so a row's bits depend on that row alone, and the sample
+rows come from keyed blocks (stream version 2).
 
 A change that draws other samples, such as a new stream version, changes
 every line. Such a change is gated on distributions instead:
