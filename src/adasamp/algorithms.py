@@ -26,6 +26,7 @@ from .model import (
     SampleSet,
     ScaledRows,
     _matvec,
+    _reading_ahead,
     batch_grads,
     batch_values,
     draw_samples,
@@ -172,7 +173,7 @@ def _drive(
     is drawn: freed at the end of its step, it let glibc's allocator trim
     the heap between iterations, and a basic spgd run (seed 0, cap 2e5) took
     69-97k minor page faults instead of 26-28k, on one CPU or with the
-    large passes split across two.
+    large passes split across two. The loop reads ahead (``_reading_ahead``).
     """
     n = cfg.initial_sample_size
     cum = 0
@@ -181,22 +182,23 @@ def _drive(
     extras: dict = {}
     status = STATUS_COMPLETED
 
-    for k in range(cfg.max_iters):
-        tic = time.perf_counter()
-        sample_set = draw_samples(problem, n, k, cfg.seed)
-        s = step(x, sample_set, k)
-        cum += s.n
-        err = _error_norm(x, known_optimum)
-        wall = (time.perf_counter() - tic) * 1e3
-        records.append(RunRecord(k, s.n, cum, s.objective, err, s.rho, s.t, wall))
-        iterates.append(x)
-        for key, value in s.extras.items():
-            extras.setdefault(key, []).append(value)
-        if s.status is not None:
-            status = s.status
-            break
-        x = s.x_next
-        n = s.next_n or s.n
+    with _reading_ahead():  # the next set is drawn while this one is used
+        for k in range(cfg.max_iters):
+            tic = time.perf_counter()
+            sample_set = draw_samples(problem, n, k, cfg.seed)
+            s = step(x, sample_set, k)
+            cum += s.n
+            err = _error_norm(x, known_optimum)
+            wall = (time.perf_counter() - tic) * 1e3
+            records.append(RunRecord(k, s.n, cum, s.objective, err, s.rho, s.t, wall))
+            iterates.append(x)
+            for key, value in s.extras.items():
+                extras.setdefault(key, []).append(value)
+            if s.status is not None:
+                status = s.status
+                break
+            x = s.x_next
+            n = s.next_n or s.n
 
     state = OptimizerState(x, None, n, cum, len(records))
     return RunResult(records, status, state, iterates, extras)

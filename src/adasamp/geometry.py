@@ -35,7 +35,7 @@ PROJECTION_MAX_ITER = 10000
 
 
 class ProjectionError(RuntimeError):
-    """Iterative projection failed to converge (likely empty intersection)."""
+    """Iterative projection failed to converge (empty or nearly parallel sets)."""
 
 
 @dataclass(frozen=True)
@@ -196,16 +196,15 @@ def _dykstra(members, y) -> ProjectionResult:
         # The iterate can stall for a full cycle at a feasible non-solution
         # while the corrections still move, so convergence needs the
         # correction increments to vanish too, not just the iterate change.
-        if (
-            float(np.linalg.norm(x - x_prev)) <= PROJECTION_TOL
-            and math.sqrt(corr_change_sq) <= PROJECTION_TOL
-        ):
+        change = float(np.linalg.norm(x - x_prev))
+        if change <= PROJECTION_TOL and math.sqrt(corr_change_sq) <= PROJECTION_TOL:
             residual = _member_residual(members, x)
             if residual <= PROJECTION_TOL:
                 return ProjectionResult(x, it, residual)
     raise ProjectionError(
-        f"Dykstra did not converge in {PROJECTION_MAX_ITER} iterations "
-        "(intersection may be empty)"
+        f"Dykstra did not converge in {PROJECTION_MAX_ITER} cycles: member residual "
+        f"{_member_residual(members, x):.3g}, last iterate change {change:.3g}; "
+        "the sets may be empty or nearly parallel"
     )
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from collections import deque
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -168,10 +170,39 @@ def fill_rows(
     sequence. The last block is truncated, so ``fill`` must write the same
     leading rows into a shorter ``out``: one vectorized draw into ``out``,
     then row-wise numpy work. A block that starts before ``stream.start`` is
-    drawn from its first row and its head dropped. Blocks are filled under
-    ``_in_parallel``, from two blocks on, so the bits do not depend on the
-    CPU count, and ``fill`` follows its rule: numpy work on ``out`` only.
+    drawn from its first row and its head dropped. From two blocks on, the
+    pool fills blocks too, with the same bits, so ``fill`` must be numpy work
+    on ``out`` only. In ``_reading_ahead`` on two or more CPUs, a call from
+    row 0 for a block or more, below ``_PARALLEL_MIN_ROWS`` rows, then fills
+    the next iteration's first n rows on the pool (a smaller draw costs less
+    than the handover); the next call from row 0 with that seed, iteration,
+    d and ``fill`` (best one object) takes them, or their error.
     """
+    if _local.ahead and _local.ahead[0] != os.getpid():  # a forked child's copy: no threads
+        _local.ahead = ()
+    ahead, workers = _local.ahead, _workers()
+    taken = ahead and stream.start == 0 and ahead[1] == (stream.seed, stream.iteration, d, fill)
+    if taken:
+        _, _, out, handle = ahead
+        _local.ahead = ()
+        if n > len(out):  # the rows that follow, queued after the blocks left
+            tail = _draw(replace(stream, start=len(out)), n - len(out), d, fill, workers, handle)[0]
+    else:  # a draw inside one block runs on this thread alone
+        spans = stream.start % _STREAM_BLOCK_ROWS + n > _STREAM_BLOCK_ROWS
+        out, handle = _draw(stream, n, d, fill, workers if spans else 1)
+    following = None
+    if (_local.ahead == () and stream.start == 0 and workers > 1
+            and _STREAM_BLOCK_ROWS <= n < _PARALLEL_MIN_ROWS):
+        rows, following = _draw(Stream(stream.seed, stream.iteration + 1), n, d, fill, workers)
+        _local.ahead = (os.getpid(), (stream.seed, stream.iteration + 1, d, fill), rows, following)
+    _join(handle, then=following)
+    if taken:
+        out = np.concatenate([out, tail]) if n > len(out) else out[:n]
+    return out
+
+
+def _draw(stream: Stream, n: int, d: int, fill, workers: int, handle=None):
+    """``_start`` on the keyed blocks of the rows of ``fill_rows``: (rows, handle)."""
     first = stream.start - stream.start % _STREAM_BLOCK_ROWS
     out = np.empty((stream.start + n - first, d))
 
@@ -182,8 +213,7 @@ def fill_rows(
             block = out[lo : min(lo + _STREAM_BLOCK_ROWS, rows.stop)]
             fill(np.random.Generator(np.random.SFC64(seq)), block)
 
-    _in_parallel(chunk, out.shape[0], _STREAM_BLOCK_ROWS)
-    return out[stream.start - first :]
+    return out[stream.start - first :], _start(chunk, len(out), _STREAM_BLOCK_ROWS, workers, handle)
 
 
 def _blocked_matmul(m: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
@@ -259,8 +289,8 @@ def _in_parallel(fn: Callable[[slice], None], n: int, step: Optional[int] = None
     Chunks are ``step`` rows, a multiple of ``_BLOCK_ROWS``, and the last
     one is truncated, so a chunk's blocks are the pass's blocks and a
     blocked BLAS call sees the rows it sees in a serial pass. The calling
-    thread and one pool thread per further CPU of the process take chunks
-    in turn until none is left, so a CPU that another process slows takes
+    thread and one pool thread per further CPU take chunks in turn until
+    none is left, so a CPU that another process or a read-ahead slows takes
     fewer. By default a pass below ``_PARALLEL_MIN_ROWS`` rows runs whole on
     the calling thread, and ``step`` is chosen from n; with ``step`` given,
     a pass of two chunks splits. ``fn`` runs on pool threads, so it may only
@@ -276,29 +306,73 @@ def _in_parallel(fn: Callable[[slice], None], n: int, step: Optional[int] = None
     if workers < 2 or n <= step:  # one chunk
         fn(slice(0, n))
         return
-    chunks = iter([slice(lo, min(lo + step, n)) for lo in range(0, n, step)])
-    lock = threading.Lock()
+    _join(_start(fn, n, step, workers))
 
-    def drain():
-        while True:
-            with lock:
-                rows = next(chunks, None)
-            if rows is None:
-                return
-            fn(rows)
 
-    from concurrent.futures import wait
+def _start(fn, n: int, step: int, workers: int, handle=None):
+    """Queue ``fn`` on rows 0..n-1 by ``step``, after the chunks of ``handle``
+    if given, and submit a drain of the queue per further CPU."""
+    chunks, futures = handle or (deque(), [])
+    chunks.extend([(fn, slice(lo, min(lo + step, n))) for lo in range(0, n, step)])
+    futures += [_executor().submit(_drain, chunks) for _ in range(workers - 1)]
+    return chunks, futures
 
-    pool = _executor()
-    futures = [pool.submit(drain) for _ in range(workers - 1)]
+
+def _drain(chunks: deque) -> None:
+    while True:
+        try:
+            fn, rows = chunks.popleft()  # thread-safe
+        except IndexError:
+            return
+        fn(rows)
+
+
+def _join(handle, cancel: bool = False, then=None) -> None:
+    """Drain the queue here (or drop it), cancel the drains not started, wait
+    for the running ones, so that no chunk writes rows after the call, and
+    raise the first error unless cancelled. Until they end, take the chunks
+    of the queue ``then``; one that raises goes back, to raise where that
+    queue is joined."""
+    chunks, futures = handle
+    if cancel:
+        chunks.clear()
     try:
-        drain()
-    finally:
-        # every thread has returned before an error propagates, so no chunk
-        # writes rows after the call
-        wait(futures)
+        _drain(chunks)
+        while then and any(future.running() for future in futures):
+            try:
+                fn, rows = then[0].popleft()
+            except IndexError:
+                break
+            try:
+                fn(rows)
+            except Exception:
+                then[0].appendleft((fn, rows))
+                break
+    finally:  # waiting on a queued drain, even cancelled, lasts until a thread dequeues it
+        for future in [future for future in futures if not future.cancel()]:
+            future.exception()  # returns once the drain has ended
     for future in futures:
-        future.result()
+        if not (cancel or future.cancelled()):
+            future.result()
+
+
+class _Local(threading.local):
+    ahead = None  # inside ``_reading_ahead``, () or (pid, key, rows, handle)
+
+
+_local = _Local()  # per thread, as each thread runs its own drivers
+
+
+@contextmanager
+def _reading_ahead():
+    """Let ``fill_rows`` read ahead; on exit, drop the read-ahead and wait for its chunks."""
+    outer, _local.ahead = _local.ahead, ()
+    try:
+        yield
+    finally:
+        if _local.ahead and _local.ahead[0] == os.getpid():
+            _join(_local.ahead[3], cancel=True)
+        _local.ahead = outer
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:

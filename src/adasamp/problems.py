@@ -49,6 +49,10 @@ RETURN_THRESHOLD = 1.05
 _VALUE_GROUP_ROWS = 4096
 
 
+def _uniform_fill(g, out):  # one object, so that ``fill_rows`` can read ahead
+    g.random(out=out)
+
+
 def basic_optimum(a, b) -> np.ndarray:
     """Closed-form minimizer of the quadratic expectation problem:
     componentwise max(0, b/2). Independent of a."""
@@ -116,9 +120,7 @@ class BasicExample:
 
         problem = StochasticProblem(
             dim=BASIC_DIM,
-            sampler=lambda stream, n: fill_rows(
-                stream, n, BASIC_DIM, lambda g, out: g.random(out=out)
-            ),
+            sampler=lambda stream, n: fill_rows(stream, n, BASIC_DIM, _uniform_fill),
             value_many=value_many,
             grad_many=grad_many,
             known_optimum=basic_optimum(a, b),

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adasamp import geometry
 from adasamp.geometry import (
     Halfspace,
     Intersection,
@@ -115,6 +118,24 @@ class TestDykstra:
         )
         with pytest.raises(ProjectionError):
             project(inter, [0.5, 0.5])
+
+    def test_nearly_parallel_sets_are_named_with_the_last_cycle(self, monkeypatch):
+        # a non-empty cut nearly parallel to the simplex needs 9,707 cycles;
+        # at 50 the error gives the residual and the last change, and does
+        # not call the intersection empty
+        monkeypatch.setattr(geometry, "PROJECTION_MAX_ITER", 50)
+        inter = Intersection((UnitSimplex(2), Halfspace(np.array([0.242, 0.220]), 0.231)))
+        with pytest.raises(ProjectionError) as raised:
+            project(inter, [-1.0, 2.0])
+        found = re.fullmatch(
+            r"Dykstra did not converge in 50 cycles: member residual (\S+), last iterate "
+            r"change (\S+); the sets may be empty or nearly parallel",
+            str(raised.value),
+        )
+        assert found, str(raised.value)
+        assert 1e-3 < float(found[1]) < 1 and 0 <= float(found[2]) < 1e-10
+        monkeypatch.undo()
+        assert project(inter, [-1.0, 2.0]).residual <= geometry.PROJECTION_TOL
 
     def test_member_dimension_mismatch(self):
         with pytest.raises(ValueError):

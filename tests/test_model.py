@@ -4,13 +4,16 @@ import os
 import re
 import sys
 import threading
+import time
 import warnings
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
 
-from adasamp import model
+from adasamp import model, problems
 from adasamp.algorithms import OptimizerConfig, run_cvar_extended, run_spgd_adaptive
+from adasamp.cli import ExperimentConfig, run_experiment
 from adasamp.model import (
     ScaledRows,
     StochasticProblem,
@@ -26,6 +29,7 @@ from adasamp.model import (
     sample_objective,
 )
 from adasamp.problems import make_basic_example, make_portfolio
+from adasamp.records import csv_body
 from adasamp.sizing import TestConfig
 from oracles import (
     blocked_moments,
@@ -142,6 +146,254 @@ class TestFillRows:
         got = fill_rows(Stream(1, 3, start), n, 3, lambda g, out: g.random(out=out))
         assert got.shape == (n, 3)
         assert np.array_equal(got, want)
+
+
+def uniform(g, out):
+    g.random(out=out)
+
+
+def on_the_pool():
+    return threading.current_thread() is not threading.main_thread()
+
+
+class TestReadAhead:
+    """Inside ``_reading_ahead``, ``fill_rows`` fills the next iteration's
+    first n rows on the pool, and the next call of that key takes them."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [10, BLOCK - 1, BLOCK, BLOCK + 1, 10940])
+    def test_a_set_read_ahead_equals_a_cold_draw(self, monkeypatch, workers, n):
+        monkeypatch.setattr(model, "_workers", lambda: workers)
+        for m in (n, n + 1, (n // BLOCK + 1) * BLOCK, 2 * n):
+            with model._reading_ahead():
+                fill_rows(Stream(4, 6), n, 5, uniform)
+                assert bool(model._local.ahead) == (workers > 1 and n >= BLOCK)
+                got = fill_rows(Stream(4, 7), m, 5, uniform)
+                if workers > 1 and n >= BLOCK:  # taken, and the next one read ahead
+                    assert model._local.ahead[1] == (4, 8, 5, uniform)
+                    assert model._local.ahead[2].shape == (m, 5)
+            assert model._local.ahead is None
+            assert got.shape == (m, 5)
+            assert np.array_equal(got, fill_rows(Stream(4, 7), m, 5, uniform)), m
+
+    def test_only_inside_the_scope_from_a_block_to_the_parallel_size(self, monkeypatch):
+        monkeypatch.setattr(model, "_workers", lambda: 2)
+        fill_rows(Stream(4, 6), BLOCK, 5, uniform)
+        assert model._local.ahead is None
+        with model._reading_ahead():
+            for n in (BLOCK - 1, model._PARALLEL_MIN_ROWS):
+                fill_rows(Stream(4, 6), n, 5, uniform)
+                assert model._local.ahead == ()
+
+    def test_each_thread_has_its_own(self, monkeypatch):
+        # two threads may run drivers at once: neither takes nor drops the
+        # other's read-ahead
+        monkeypatch.setattr(model, "_workers", lambda: 2)
+        seen = []
+
+        def other():
+            seen.append(model._local.ahead)
+            with model._reading_ahead():
+                fill_rows(Stream(4, 6), BLOCK, 5, uniform)
+                seen.append(model._local.ahead[1])
+
+        with model._reading_ahead():
+            fill_rows(Stream(4, 6), BLOCK, 5, uniform)
+            ahead = model._local.ahead
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join(10)
+            assert not thread.is_alive()
+            assert model._local.ahead is ahead
+        assert seen == [None, (4, 7, 5, uniform)]
+
+    @pytest.mark.parametrize(
+        "stream, d, fill",
+        [
+            (Stream(5, 7), 5, uniform),  # seed
+            (Stream(4, 8), 5, uniform),  # iteration
+            (Stream(4, 7), 6, uniform),  # d
+            (Stream(4, 7), 5, lambda g, out: g.random(out=out)),  # fill
+            (Stream(4, 7, 3), 5, uniform),  # start
+        ],
+    )
+    def test_a_call_off_its_key_is_drawn_cold_and_leaves_it(self, monkeypatch, stream, d, fill):
+        monkeypatch.setattr(model, "_workers", lambda: 2)
+        cold = fill_rows(stream, BLOCK, d, fill)
+        with model._reading_ahead():
+            fill_rows(Stream(4, 6), BLOCK, 5, uniform)
+            ahead = model._local.ahead
+            assert np.array_equal(fill_rows(stream, BLOCK, d, fill), cold)
+            assert model._local.ahead is ahead
+            got = fill_rows(Stream(4, 7), BLOCK, 5, uniform)
+            assert model._local.ahead is not ahead
+        assert np.array_equal(got, fill_rows(Stream(4, 7), BLOCK, 5, uniform))
+
+    def test_an_error_surfaces_from_the_call_that_takes_its_rows_only(self, monkeypatch):
+        monkeypatch.setattr(model, "_workers", lambda: 2)
+
+        def failing(g, out):
+            if on_the_pool():
+                raise ArithmeticError("fill failed")
+            g.random(out=out)
+
+        with model._reading_ahead():
+            fill_rows(Stream(4, 6), BLOCK, 5, failing)  # one block, on this thread
+            wait(model._local.ahead[3][1])  # the read-ahead's block has failed
+            fill_rows(Stream(9, 7), BLOCK, 5, failing)
+            model._in_parallel(lambda rows: None, 3 * BLOCK, BLOCK)
+            gradient_stats(np.ones((3 * BLOCK, 2)))
+            with pytest.raises(ArithmeticError, match="fill failed"):
+                fill_rows(Stream(4, 7), BLOCK, 5, failing)
+            # the next read-ahead started before the join raised; the scope
+            # drops it
+            assert model._local.ahead[1] == (4, 8, 5, failing)
+        # a read-ahead that nothing takes fails silently
+        with model._reading_ahead():
+            fill_rows(Stream(4, 6), BLOCK, 5, failing)
+            wait(model._local.ahead[3][1])
+
+    def test_the_join_takes_the_next_queue_while_a_pool_thread_ends_its_own(self, monkeypatch):
+        # the pool's only thread runs the last chunk of a draw for 0.2 s; the
+        # join takes the next queue's chunks meanwhile, and one that raises
+        # goes back to that queue, to raise where it is joined
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(model, "_pool", pool)
+        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        started, ran = threading.Event(), []
+
+        def slow(rows):
+            started.set()
+            threading.Event().wait(0.2)
+            ran.append(("slow", on_the_pool()))
+
+        def next_rows(rows):
+            if rows.start == 2 and not on_the_pool():
+                raise ArithmeticError("fill failed")
+            ran.append((rows.start, on_the_pool()))
+
+        try:
+            current = model._start(slow, 1, 1, 2)
+            assert started.wait(10)
+            following = model._start(next_rows, 4, 1, 1)  # no drain of its own
+            model._join(current, then=following)
+            assert ran == [(0, False), (1, False), ("slow", True)]
+            assert [rows.start for _, rows in following[0]] == [2, 3]
+            with pytest.raises(ArithmeticError, match="fill failed"):
+                model._join(following)
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("ending", ["return", "error"])
+    def test_no_fill_starts_after_the_driver_returns(self, monkeypatch, ending):
+        # every correlate sleeps, so the read-ahead is in flight when the
+        # loop ends; the driver cancels it and waits for the running block
+        problem, cset = make_portfolio(0)
+        lock = threading.Lock()
+        started, finished = [], []
+        product = problems._blocked_matmul
+
+        def slow(u, w, out):
+            with lock:
+                started.append(on_the_pool())
+            threading.Event().wait(0.005)
+            product(u, w, out)
+            with lock:
+                finished.append(u.shape[0])
+
+        monkeypatch.setattr(problems, "_blocked_matmul", slow)
+        monkeypatch.setattr(model, "_workers", lambda: 2)
+        read_ahead, join = [], model._join
+
+        def recorded(handle, cancel=False, then=None):
+            read_ahead.append(then is not None)
+            join(handle, cancel, then)
+
+        monkeypatch.setattr(model, "_join", recorded)
+        if ending == "error":
+            grad_many, calls = problem.grad_many, []
+
+            def failing(x, xis):
+                calls.append(x)
+                if len(calls) == 3:
+                    raise ArithmeticError("gradient failed")
+                return grad_many(x, xis)
+
+            problem = dataclasses.replace(problem, grad_many=failing)
+        # sets of three blocks, 15 ms or more of draw against a few ms of
+        # step, so the last read-ahead has blocks left when the loop ends
+        cfg = OptimizerConfig(alpha=0.02, max_iters=4, test=None, initial_sample_size=3 * BLOCK)
+        try:
+            run_spgd_adaptive(problem, cset, cfg, np.full(100, 0.01))
+        except ArithmeticError:
+            assert ending == "error"
+        with lock:
+            at_return = (len(started), len(finished))
+        threading.Event().wait(0.05)
+        assert (len(started), len(finished)) == at_return
+        assert at_return[0] == at_return[1]
+        assert any(read_ahead)
+        assert model._local.ahead is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_draws_its_next_set_cold(self, monkeypatch):
+        # the parent's read-ahead is held in flight across the fork; the
+        # child, which has none of the parent's pool threads, must not wait
+        # for it
+        monkeypatch.setattr(model, "_workers", lambda: 2)
+        running, release = threading.Event(), threading.Event()
+
+        def held(g, out):
+            if on_the_pool():
+                running.set()
+                release.wait(10)
+            g.random(out=out)
+
+        want = fill_rows(Stream(4, 7), BLOCK, 5, uniform)
+        with model._reading_ahead():
+            fill_rows(Stream(4, 6), BLOCK, 5, held)
+            assert running.wait(10)
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    code = 0 if np.array_equal(fill_rows(Stream(4, 7), BLOCK, 5, held), want) else 3
+                finally:
+                    os._exit(code)
+            release.set()
+        deadline = time.monotonic() + 20
+        while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if not done[0]:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid, "the child hung"
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    @pytest.mark.parametrize(
+        "problem, algorithm, flags",
+        [
+            ("basic", "spgd", dict(alpha=0.025, theta=0.003, max_iters=10)),
+            ("portfolio", "cvar-extended",
+             dict(alpha=0.02, theta=0.1, beta=0.9, epsilon=0.1, max_iters=8)),
+            ("basic", "sqp", dict(alpha=0.1, theta=0.1, max_iters=10)),
+        ],
+    )
+    def test_drivers_give_the_same_records_at_one_and_two_workers(
+        self, monkeypatch, tmp_path, problem, algorithm, flags
+    ):
+        # the sets grow from 10 rows to 10^4-2*10^4, and from 2048 to 4096
+        # rows they are read ahead at two workers
+        bodies = []
+        for workers in (1, 2):
+            set_workers(monkeypatch, workers)
+            out = tmp_path / f"{workers}.csv"
+            run_experiment(ExperimentConfig(problem=problem, algorithm=algorithm, s0=10,
+                                            max_sample_size=20000, output=str(out), **flags))
+            bodies.append(csv_body(out))
+        assert bodies[0] == bodies[1]
 
 
 class TestExtendSamples:
@@ -346,6 +598,40 @@ class TestRowParallelPasses:
             pool.shutdown()
         assert len(failed) == 1
         assert sorted(started) == sorted(finished + failed)
+
+    def test_a_drain_queued_behind_a_busy_pool_thread_is_cancelled(self, monkeypatch):
+        # the pool's only thread runs a 0.5 s job, so the pass's drain stays
+        # queued: the calling thread takes every chunk, and the pass returns
+        # without waiting for the pool thread to dequeue the drain
+        from concurrent.futures import ThreadPoolExecutor
+
+        set_workers(monkeypatch, 2)
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(model, "_pool", pool)
+        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        submit, submitted = pool.submit, []
+
+        def recorded(fn, *args):
+            submitted.append(submit(fn, *args))
+            return submitted[-1]
+
+        monkeypatch.setattr(pool, "submit", recorded)
+        ends = []
+
+        def chunk(rows):
+            threading.Event().wait(0.001)
+            ends.append(time.perf_counter())
+
+        try:
+            busy = submit(threading.Event().wait, 0.5)
+            model._in_parallel(chunk, 20 * 512, 512)
+            returned = time.perf_counter()
+            assert not busy.done()
+        finally:
+            pool.shutdown()
+        assert len(ends) == 20
+        assert returned - max(ends) < 0.1
+        assert len(submitted) == 1 and submitted[0].cancelled()
 
     def test_problem_fields_run_on_the_calling_thread_only(self, monkeypatch):
         # worker threads run numpy kernels only: the benchmark's tracer
