@@ -23,9 +23,10 @@ import numpy as np
 from .geometry import ConstraintSet, ProductWithFree, project
 from .model import (
     GradientStats,
+    Rows,
     SampleSet,
     ScaledRows,
-    _matvec,
+    _blocked_matmul,
     _reading_ahead,
     batch_grads,
     batch_values,
@@ -248,9 +249,9 @@ def sqp_directions(grads, grad_G, G_val: float, alpha: float) -> np.ndarray:
     KKT gives lambda_i = (G_val - alpha <grad_G, g_i>) / (alpha ||grad_G||^2)
     and d_i = -alpha (g_i + lambda_i grad_G); each d_i satisfies the
     linearized constraint exactly. A zero grad_G is the vacuous constraint
-    0 = 0 when G_val is 0 and inconsistent otherwise. The products
-    <grad_G, g_i> are formed in fixed row blocks, so the directions do not
-    depend on the BLAS thread count.
+    0 = 0 when G_val is 0 and inconsistent otherwise. ``grads`` may be
+    ``Rows``. The products <grad_G, g_i> are ``Rows`` over ``_blocked_matmul``,
+    so the directions do not depend on the BLAS thread or CPU count.
     """
     grads = np.asarray(grads, dtype=float)
     grad_G = np.asarray(grad_G, dtype=float)
@@ -259,7 +260,8 @@ def sqp_directions(grads, grad_G, G_val: float, alpha: float) -> np.ndarray:
         if G_val != 0.0:
             raise ValueError("inconsistent linearization: zero constraint gradient")
         return -alpha * grads
-    lams = (G_val - alpha * _matvec(grads, grad_G)) / (alpha * g_sq)
+    products = Rows(grads.shape[:1], lambda part, out: _blocked_matmul(grads[part], grad_G, out))
+    lams = (G_val - alpha * np.asarray(products)) / (alpha * g_sq)
     # -alpha * (grads + lams[:, None] * grad_G), in one (n, dim) buffer
     dirs = np.multiply(lams[:, None], grad_G)
     np.add(grads, dirs, out=dirs)

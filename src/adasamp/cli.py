@@ -174,8 +174,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "iterations": result.state.iteration,
         "extras": {k: v for k, v in result.extras.items() if k in ("t0", "augment_rounds")},
     }
-    with open(str(out) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, default=lambda o: o.tolist())
+    with open(str(out) + ".meta.json", "w") as fh:  # json.dumps without indent runs the C encoder
+        fh.write(json.dumps(meta, default=lambda o: o.tolist()))
 
     print(f"{cfg.problem}/{cfg.algorithm}: {result.status} after "
           f"{result.state.iteration} iterations, "

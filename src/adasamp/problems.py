@@ -21,10 +21,9 @@ from .geometry import (
 )
 from .model import (
     STREAM_PARAMS,
+    Rows,
     StochasticProblem,
     _blocked_matmul,
-    _in_parallel,
-    _matvec,
     _rowwise,
     _tile,
     fill_rows,
@@ -42,11 +41,6 @@ __all__ = [
 BASIC_DIM = 20
 PORTFOLIO_DIM = 100
 RETURN_THRESHOLD = 1.05
-
-# Rows per elementwise step of the basic value pass (32 blocks of
-# ``_blocked_matmul``): a few numpy calls per 4096 rows, and a buffer of
-# 4096 x 20.
-_VALUE_GROUP_ROWS = 4096
 
 
 def _uniform_fill(g, out):  # one object, so that ``fill_rows`` can read ahead
@@ -86,37 +80,30 @@ class BasicExample:
         neg_b_tile, two_a_tile = _tile(-b), _tile(2.0 * a)
 
         def value_many(x, xis):
-            # (x - b*xi)^2 @ a: the elementwise part on groups of blocks in
-            # one small buffer per chunk, the matmul per block
-            values = np.empty(xis.shape[0])
+            # (x - b*xi)^2 @ a: the elementwise part in a scratch array of
+            # the part's rows, the matmul per block
             x_tile = _tile(x)
 
-            def chunk(rows):
-                buf = np.empty((min(rows.stop - rows.start, _VALUE_GROUP_ROWS), BASIC_DIM))
-                for lo in range(rows.start, rows.stop, _VALUE_GROUP_ROWS):
-                    group = slice(lo, min(lo + _VALUE_GROUP_ROWS, rows.stop))
-                    r = buf[: group.stop - lo]
-                    _rowwise(np.multiply, xis[group], neg_b_tile, r)
-                    _rowwise(np.add, r, x_tile, r)
-                    np.square(r, out=r)
-                    _blocked_matmul(r, a, values[group])
+            def write(part, out):
+                r = np.empty((out.shape[0], BASIC_DIM))
+                _rowwise(np.multiply, xis[part], neg_b_tile, r)
+                _rowwise(np.add, r, x_tile, r)
+                np.square(r, out=r)
+                return _blocked_matmul(r, a, out)
 
-            _in_parallel(chunk, xis.shape[0])
-            return values
+            return Rows(xis.shape[:1], write)
 
         def grad_many(x, xis):
-            # 2a*(x - b*xi), in row chunks of one fresh (n, d) buffer
-            grads = np.empty(xis.shape)
+            # 2a*(x - b*xi), formed in the rows model asks for
             x_tile = _tile(x)
 
-            def chunk(rows):
-                r = grads[rows]
-                _rowwise(np.multiply, xis[rows], neg_b_tile, r)
-                _rowwise(np.add, r, x_tile, r)
-                _rowwise(np.multiply, r, two_a_tile, r)
+            def write(part, out):
+                _rowwise(np.multiply, xis[part], neg_b_tile, out)
+                _rowwise(np.add, out, x_tile, out)
+                _rowwise(np.multiply, out, two_a_tile, out)
+                return out
 
-            _in_parallel(chunk, xis.shape[0])
-            return grads
+            return Rows(xis.shape, write)
 
         problem = StochasticProblem(
             dim=BASIC_DIM,
@@ -179,8 +166,10 @@ class PortfolioProblem:
             dim=PORTFOLIO_DIM,
             sampler=lambda stream, n: fill_rows(stream, n, PORTFOLIO_DIM, fill),
             # negation is exact: the bits of -(xis @ x) in blocked calls
-            value_many=lambda x, xis: _matvec(xis, -x),
-            grad_many=lambda x, xis: -xis,
+            value_many=lambda x, xis: Rows(
+                xis.shape[:1], lambda p, out: _blocked_matmul(xis[p], -x, out)
+            ),
+            grad_many=lambda x, xis: Rows(xis.shape, lambda p, out: np.negative(xis[p], out=out)),
             params={"A": A, "B": B, "seed": self.seed, "redraws": self.redraws},
         )
         cset = Intersection(

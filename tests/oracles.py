@@ -421,7 +421,7 @@ def condition_diagnostic(problem, cset, x, n, M, alpha, ref_size, seed):
 
     # surrogate truth from one large set (stream coordinate 0)
     ref_set = draw_samples(problem, ref_size, 0, seed)
-    ref_grad = batch_grads(problem, x, ref_set.realizations).mean(axis=0)
+    ref_grad = np.asarray(batch_grads(problem, x, ref_set.realizations)).mean(axis=0)
     ref_q = project(cset, x - alpha * ref_grad).point
     ref_r = (x - ref_q) / alpha
     ref_r_norm = float(np.linalg.norm(ref_r))
@@ -432,7 +432,7 @@ def condition_diagnostic(problem, cset, x, n, M, alpha, ref_size, seed):
     q_diff = np.empty((M, x.shape[0]))
     for m in range(M):
         s = draw_samples(problem, n, m + 1, seed)
-        g = batch_grads(problem, x, s.realizations).mean(axis=0)
+        g = np.asarray(batch_grads(problem, x, s.realizations)).mean(axis=0)
         q = project(cset, x - alpha * g).point
         r = (x - q) / alpha
         rs_sq[m] = r @ r

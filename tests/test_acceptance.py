@@ -379,7 +379,7 @@ def test_criterion_11_statistical_estimators(basic):
     mean_grads = np.empty((M, 20))
     for m in range(M):
         s = draw_samples(problem, n, m, 500)
-        mean_grads[m] = batch_grads(problem, x, s.realizations).mean(axis=0)
+        mean_grads[m] = np.asarray(batch_grads(problem, x, s.realizations)).mean(axis=0)
     avg = mean_grads.mean(axis=0)
     se_avg = mean_grads.std(axis=0, ddof=1) / math.sqrt(M)
 

@@ -15,10 +15,10 @@ from adasamp import model, problems
 from adasamp.algorithms import OptimizerConfig, run_cvar_extended, run_spgd_adaptive
 from adasamp.cli import ExperimentConfig, run_experiment
 from adasamp.model import (
+    Rows,
     ScaledRows,
     StochasticProblem,
     _blocked_matmul,
-    _matvec,
     Stream,
     batch_grads,
     draw_samples,
@@ -253,39 +253,6 @@ class TestReadAhead:
             fill_rows(Stream(4, 6), BLOCK, 5, failing)
             wait(model._local.ahead[3][1])
 
-    def test_the_join_takes_the_next_queue_while_a_pool_thread_ends_its_own(self, monkeypatch):
-        # the pool's only thread runs the last chunk of a draw for 0.2 s; the
-        # join takes the next queue's chunks meanwhile, and one that raises
-        # goes back to that queue, to raise where it is joined
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(model, "_pool", pool)
-        monkeypatch.setattr(model, "_pool_pid", os.getpid())
-        started, ran = threading.Event(), []
-
-        def slow(rows):
-            started.set()
-            threading.Event().wait(0.2)
-            ran.append(("slow", on_the_pool()))
-
-        def next_rows(rows):
-            if rows.start == 2 and not on_the_pool():
-                raise ArithmeticError("fill failed")
-            ran.append((rows.start, on_the_pool()))
-
-        try:
-            current = model._start(slow, 1, 1, 2)
-            assert started.wait(10)
-            following = model._start(next_rows, 4, 1, 1)  # no drain of its own
-            model._join(current, then=following)
-            assert ran == [(0, False), (1, False), ("slow", True)]
-            assert [rows.start for _, rows in following[0]] == [2, 3]
-            with pytest.raises(ArithmeticError, match="fill failed"):
-                model._join(following)
-        finally:
-            pool.shutdown()
-
     @pytest.mark.parametrize("ending", ["return", "error"])
     def test_no_fill_starts_after_the_driver_returns(self, monkeypatch, ending):
         # every correlate sleeps, so the read-ahead is in flight when the
@@ -307,9 +274,9 @@ class TestReadAhead:
         monkeypatch.setattr(model, "_workers", lambda: 2)
         read_ahead, join = [], model._join
 
-        def recorded(handle, cancel=False, then=None):
-            read_ahead.append(then is not None)
-            join(handle, cancel, then)
+        def recorded(handle, cancel=False):
+            read_ahead.append(bool(model._local.ahead))
+            join(handle, cancel)
 
         monkeypatch.setattr(model, "_join", recorded)
         if ending == "error":
@@ -508,11 +475,15 @@ class TestRowParallelPasses:
             assert np.array_equal(pgrads, grads)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_matvec(self, monkeypatch, workers):
+    def test_rows_of_a_blocked_product(self, monkeypatch, workers):
         m = np.random.default_rng(0).normal(size=(max(PASS_SIZES), 100))
         v = np.random.default_rng(1).normal(size=100)
-        serial = self.at_workers(monkeypatch, 1, lambda n: _matvec(m[:n], v))
-        parallel = self.at_workers(monkeypatch, workers, lambda n: _matvec(m[:n], v))
+
+        def product(n):
+            return np.asarray(Rows((n,), lambda part, out: _blocked_matmul(m[part], v, out)))
+
+        serial = self.at_workers(monkeypatch, 1, product)
+        parallel = self.at_workers(monkeypatch, workers, product)
         for n, got, want in zip(PASS_SIZES, parallel, serial):
             assert np.array_equal(want, blocked_product(m[:n], v))
             assert np.array_equal(got, want)
@@ -729,7 +700,7 @@ class TestSampleGradient:
         problem, _ = basic
         s = draw_samples(problem, 2, 0, 11)
         x = np.full(20, 0.4)
-        g = batch_grads(problem, x, s.realizations)
+        g = np.asarray(batch_grads(problem, x, s.realizations))
         stats = sample_gradient(problem, x, s)
         want = float(np.sum((g[0] - g[1]) ** 2)) / 4.0
         assert stats.variance_stat == pytest.approx(want, rel=1e-12)

@@ -258,7 +258,7 @@ class TestExtendProblem:
     def test_value_when_f_equals_t(self, extended):
         xi = np.full(20, 0.5)
         x = extended.base.known_optimum + 0.1
-        t = extended.base.value_many(x, xi[None])[0]
+        t = np.asarray(extended.base.value_many(x, xi[None]))[0]
         z = np.concatenate([x, [t]])
         want = t + 0.1 * math.log(2.0) / (1.0 - 0.5)
         assert extended.value_many(z, xi[None])[0] == pytest.approx(want)
@@ -279,7 +279,7 @@ class TestExtendProblem:
     def test_t_derivative_saturates(self, extended):
         xi = np.full(20, 0.5)
         x = np.ones(20)
-        f = extended.base.value_many(x, xi[None])[0]
+        f = np.asarray(extended.base.value_many(x, xi[None]))[0]
         z = np.concatenate([x, [f - 100.0]])  # f >> t
         g = np.asarray(extended.grad_many(z, xi[None]))[0]
         assert g[-1] == pytest.approx(1.0 - 1.0 / (1.0 - 0.5), abs=1e-12)
