@@ -129,25 +129,29 @@ class _Step:
 STATIONARITY_TOL = 1e-8
 
 
-def _stationary(reduced_grad, x) -> bool:
+def _tested(step: _Step, x, stats: GradientStats, against, cfg: OptimizerConfig):
+    """The stationarity guard on ``step.reduced_grad``, then, unless it trips
+    or ``cfg.test`` is None, the norm test of ``stats`` against ``against``:
+    sets the step's status, or its rho and next size; returns the outcome."""
     guard = STATIONARITY_TOL * (1.0 + float(np.linalg.norm(x)))
-    return float(np.linalg.norm(reduced_grad)) <= guard
+    if float(np.linalg.norm(step.reduced_grad)) <= guard:
+        step.status = STATUS_STATIONARY
+    elif cfg.test is not None:
+        outcome = norm_test(stats, against, cfg.test)
+        step.rho, step.next_n = outcome.rho, outcome.next_size
+        return outcome
+    return None
 
 
 def _projected_step(cset: ConstraintSet, x, stats: GradientStats, cfg: OptimizerConfig) -> _Step:
     """The step x_next = P(x - alpha * mean gradient) and its reduced
-    gradient (x - x_next) / alpha, with alpha from ``cfg``. It also applies
-    the stationarity guard and, unless ``cfg.test`` is None, the norm test
-    that sizes the next set.
+    gradient (x - x_next) / alpha, with alpha from ``cfg``, guarded and
+    tested by ``_tested`` against that reduced gradient.
     """
     alpha = cfg.alpha
     x_next = project(cset, x - alpha * stats.mean_grad).point
     step = _Step(x_next, (x - x_next) / alpha, stats.n)
-    if _stationary(step.reduced_grad, x):
-        step.status = STATUS_STATIONARY
-    elif cfg.test is not None:
-        outcome = norm_test(stats, step.reduced_grad, cfg.test)
-        step.rho, step.next_n = outcome.rho, outcome.next_size
+    _tested(step, x, stats, step.reduced_grad, cfg)
     return step
 
 
@@ -250,22 +254,28 @@ def sqp_directions(grads, grad_G, G_val: float, alpha: float) -> np.ndarray:
     and d_i = -alpha (g_i + lambda_i grad_G); each d_i satisfies the
     linearized constraint exactly. A zero grad_G is the vacuous constraint
     0 = 0 when G_val is 0 and inconsistent otherwise. ``grads`` may be
-    ``Rows``. The products <grad_G, g_i> are ``Rows`` over ``_blocked_matmul``,
-    so the directions do not depend on the BLAS thread or CPU count.
+    ``Rows``. One ``Rows`` pass writes each part's gradient rows into the
+    directions, takes their products with grad_G by ``_blocked_matmul`` (the
+    same bits at any BLAS thread or CPU count) and forms the directions in
+    place; an overflow is left to the norm test, without a warning.
     """
-    grads = np.asarray(grads, dtype=float)
     grad_G = np.asarray(grad_G, dtype=float)
     g_sq = float(grad_G @ grad_G)
-    if g_sq == 0.0:
-        if G_val != 0.0:
-            raise ValueError("inconsistent linearization: zero constraint gradient")
-        return -alpha * grads
-    products = Rows(grads.shape[:1], lambda part, out: _blocked_matmul(grads[part], grad_G, out))
-    lams = (G_val - alpha * np.asarray(products)) / (alpha * g_sq)
-    # -alpha * (grads + lams[:, None] * grad_G), in one (n, dim) buffer
-    dirs = np.multiply(lams[:, None], grad_G)
-    np.add(grads, dirs, out=dirs)
-    return np.multiply(dirs, -alpha, out=dirs)
+    if g_sq == 0.0 and G_val != 0.0:
+        raise ValueError("inconsistent linearization: zero constraint gradient")
+    if not isinstance(grads, Rows):
+        grads = np.asarray(grads, dtype=float)
+
+    def write(part, out):
+        g = grads.write(part, out) if isinstance(grads, Rows) else grads[part]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if g_sq:
+                products = _blocked_matmul(g, grad_G, np.empty(len(out)))
+                lams = (G_val - alpha * products) / (alpha * g_sq)
+                g = np.add(g, lams[:, None] * grad_G, out=out)
+            return np.multiply(g, -alpha, out=out)
+
+    return np.asarray(Rows(grads.shape, write))
 
 
 @dataclass(frozen=True)
@@ -287,14 +297,15 @@ def run_sqp_adaptive(
     """Adaptive-sampling SQP for min E[f(x; xi)] s.t. G(x) = 0.
 
     Each iteration linearizes G at x_k, forms per-sample step directions in
-    closed form, and runs the norm test on their ``gradient_stats``, with
-    the mean direction as the reduced gradient (the test of
-    ``sqp_norm_test``). On failure the same sample set is augmented with the
-    ceil(rho' |S|) - |S| draws that follow it on its stream (by prefix
-    stability, the set a fresh draw of that size would give); only the new
-    rows are evaluated, their directions appended, and the step recomputed.
-    Only once the test passes does the iterate advance. If the sample cap is
-    reached while the test still fails, the run terminates with status
+    closed form (``sqp_directions``), and runs the projected steps' guard
+    and norm test (``_tested``) on their ``gradient_stats``, with the mean
+    direction as the reduced gradient (the test of ``sqp_norm_test``). On
+    failure the same sample set is augmented with the ceil(rho' |S|) - |S|
+    draws that follow it on its stream (by prefix stability, the set a
+    fresh draw of that size would give); only the new rows are evaluated,
+    their directions appended, and the step recomputed. Only once the test
+    passes does the iterate advance. If the sample cap is reached while the
+    test still fails, the run terminates with status
     "sample-budget-exhausted".
     """
 
@@ -308,40 +319,27 @@ def run_sqp_adaptive(
             return sqp_directions(batch_grads(problem, x, xis), grad_G, G_val, cfg.alpha)
 
         dirs = directions(sample_set.realizations)
-        rounds = 0
-        rho = None
-        status = None
+        s = _Step(x, x, len(sample_set), extras={"augment_rounds": 0})  # filled in each round
         while True:
             stats = gradient_stats(dirs)
             d_mean = stats.mean_grad
-            # per-sample reduced gradients are the directions scaled by
-            # -1/alpha (rho is the same on either scale); the guard reads
-            # them on the projected drivers' scale
-            reduced_grad = -d_mean / cfg.alpha
-            if _stationary(reduced_grad, x):
-                status = STATUS_STATIONARY
-                break
-            if cfg.test is None:
-                break
-            outcome = norm_test(stats, d_mean, cfg.test)
-            rho = outcome.rho
-            if outcome.passed:
+            # the guard reads the directions scaled by -1/alpha, the projected
+            # steps' scale (rho is the same on either); tripped after a round,
+            # it keeps the last test's rho
+            s.x_next, s.reduced_grad, s.n = x + d_mean, -d_mean / cfg.alpha, stats.n
+            outcome = _tested(s, x, stats, d_mean, cfg)
+            if outcome is None or outcome.passed:
                 break
             if outcome.next_size <= stats.n:
-                status = STATUS_SAMPLE_BUDGET  # already at the cap, test still failing
+                s.status = STATUS_SAMPLE_BUDGET  # already at the cap, test still failing
                 break
             sample_set = extend_samples(problem, sample_set, outcome.next_size)
             dirs = np.concatenate([dirs, directions(sample_set.realizations[stats.n:])])
-            rounds += 1
+            s.extras["augment_rounds"] += 1
 
-        objective = sample_objective(problem, x, sample_set)
-        extras = {
-            "lin_residuals": abs(float(grad_G @ d_mean) + G_val),
-            "constraint_values": G_val,
-            "augment_rounds": rounds,
-        }
-        return _Step(x + d_mean, reduced_grad, len(sample_set), objective,
-                     rho=rho, status=status, extras=extras)
+        s.objective = sample_objective(problem, x, sample_set)
+        s.extras.update(lin_residuals=abs(float(grad_G @ d_mean) + G_val), constraint_values=G_val)
+        return s
 
     return _drive(problem, step, cfg, np.asarray(x0, dtype=float), known_optimum)
 

@@ -85,8 +85,8 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
     ||mean_dir||^2) about the directions' own mean d_mean. rho does not
     change when both are scaled alike, so directions and reduced gradients
     (the directions times -1/alpha) give the same outcome. The SQP driver
-    runs this test on the directions it keeps, to which an augmentation
-    round appends those of the new rows only. ``per_sample_dirs`` is only
-    read.
+    runs this test (through the drivers' shared guard) on the directions it
+    keeps, to which an augmentation round appends those of the new rows
+    only. ``per_sample_dirs`` is only read.
     """
     return norm_test(gradient_stats(per_sample_dirs), mean_dir, cfg)

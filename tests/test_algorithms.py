@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,18 @@ class TestRunSqpAdaptive:
         assert res.extras["augment_rounds"] == [0] * 60
         assert {r.sample_size for r in res.records} == {8}
         assert all(r.rho is None for r in res.records)
+
+    def test_overflowing_directions_raise_the_norm_test_error_without_a_warning(self, portfolio):
+        # alpha * <grad_G, g_i> overflowed with a RuntimeWarning from
+        # sqp_directions before the norm test named the non-finite directions
+        problem, _ = portfolio
+        sphere = EqualityConstraint(
+            value=lambda x: float(x @ x) - 1.0, grad=lambda x: 2.0 * np.asarray(x, float)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"non-finite variance statistic \(nan\)"):
+                run_sqp_adaptive(problem, sphere, cfg(alpha=1e307, iters=3), np.full(100, 0.1))
 
 
 class TestRunCvarExtended:

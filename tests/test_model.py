@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from adasamp import model, problems
-from adasamp.algorithms import OptimizerConfig, run_cvar_extended, run_spgd_adaptive
+from adasamp.algorithms import (
+    EqualityConstraint,
+    OptimizerConfig,
+    run_cvar_extended,
+    run_spgd_adaptive,
+    run_sqp_adaptive,
+)
 from adasamp.cli import ExperimentConfig, run_experiment
 from adasamp.model import (
     Rows,
@@ -647,6 +653,19 @@ class TestRowParallelPasses:
         problem, cset = make_portfolio(0)
         cfg = dataclasses.replace(cfg, initial_sample_size=2 * BLOCK + 1, max_iters=2)
         run_cvar_extended(recorded(problem), cset, 0.9, 0.1, cfg, np.full(100, 0.01))
+        assert threads and set(threads) == {threading.main_thread()}
+        assert submitted
+
+        # an SQP run that augments: its direction passes split, and its
+        # fields run here, in the augmentation rounds too
+        threads.clear()
+        submitted.clear()
+        problem, _ = make_basic_example(0)
+        sphere = EqualityConstraint(value=lambda x: float(x @ x) - 1.0, grad=lambda x: 2.0 * x)
+        cfg = dataclasses.replace(cfg, initial_sample_size=6000,
+                                  test=TestConfig(theta=0.005, max_sample_size=40_000))
+        result = run_sqp_adaptive(recorded(problem), sphere, cfg, np.full(20, 20**-0.5))
+        assert sum(result.extras["augment_rounds"]) > 0
         assert threads and set(threads) == {threading.main_thread()}
         assert submitted
 

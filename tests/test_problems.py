@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adasamp import model, problems
-from adasamp.algorithms import sqp_directions
+from adasamp.algorithms import EqualityConstraint, OptimizerConfig, run_sqp_adaptive, sqp_directions
 from adasamp.geometry import Intersection, NonNegativeOrthant, project
 from adasamp.model import (
     ScaledRows,
@@ -27,6 +27,7 @@ from adasamp.problems import (
     make_portfolio,
 )
 from adasamp.risk import ExtendedProblem
+from adasamp.sizing import TestConfig
 from oracles import blocked_product, central_diff, keyed_rows, rel_err, set_workers
 
 
@@ -331,11 +332,49 @@ class TestRows:
             assert np.array_equal(mean, want_mean) and m2 == want_m2, n
 
 
+class TestSqpDirectionRows:
+    """``sqp_directions`` forms its directions in one pass over the packaged
+    ``Rows`` or over their formed arrays, with the bits of the formula over
+    the gradient array: lambda from the padded block product, then
+    lams * grad_G, + grads and * -alpha, at any row count and at one, two
+    and three workers."""
+
+    @pytest.fixture(scope="class", params=["basic", "portfolio"])
+    def case(self, request):
+        make = make_basic_example if request.param == "basic" else make_portfolio
+        problem, _ = make(3)
+        xis = draw_samples(problem, max(ROW_LOCAL_SIZES + FOLD_EDGES), 1, 6).realizations
+        x = np.linspace(0.5, 1.5, problem.dim) / problem.dim
+        return problem, xis, x
+
+    @staticmethod
+    def formula(grads, grad_G, G_val, alpha):
+        if not grad_G.any():
+            return -alpha * grads
+        lams = (G_val - alpha * blocked_product(grads, grad_G)) / (alpha * float(grad_G @ grad_G))
+        return (lams[:, None] * grad_G + grads) * -alpha
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("grad_G_scale, G_val", [(2.0, 0.25), (0.0, 0.0)])
+    def test_one_pass_gives_the_formula_bits(self, monkeypatch, case, workers, grad_G_scale, G_val):
+        problem, xis, x = case
+        grad_G = grad_G_scale * x
+        want = self.formula(np.asarray(problem.grad_many(x, xis)), grad_G, G_val, 0.025)
+        set_workers(monkeypatch, workers)
+        for n in ROW_LOCAL_SIZES + FOLD_EDGES:
+            rows = problem.grad_many(x, xis[:n])
+            assert np.array_equal(sqp_directions(rows, grad_G, G_val, 0.025), want[:n]), n
+            got = sqp_directions(np.asarray(rows), grad_G, G_val, 0.025)
+            assert np.array_equal(got, want[:n]), n
+
+
 class TestOneIterationPeak:
     """One iteration (draw, ``sample_gradient``, ``sample_objective``) at a
     sample cap holds the sample set and no per-sample gradient array: the
     traced peak stays near one n x d array. Forming the gradients took it
-    to 2.05x (basic) and 2.07x (extended)."""
+    to 2.05x (basic) and 2.07x (extended). One SQP iteration at its cap
+    holds the sample set and the directions, without the gradient array
+    beside them that took it to 3.05x (basic) and 3.01x (portfolio)."""
 
     @staticmethod
     def peak(problem, x, n, d):
@@ -359,3 +398,26 @@ class TestOneIterationPeak:
         extended = ExtendedProblem(base, 0.9, 0.1)
         z = np.concatenate([np.full(100, 0.01), [0.0]])
         assert self.peak(extended, z, 100_000, 100) < 1.2
+
+    @staticmethod
+    def sqp_peak(problem, n):
+        # one iteration with the cap at n, so without an augmentation round
+        sphere = EqualityConstraint(value=lambda x: float(x @ x) - 1.0, grad=lambda x: 2.0 * x)
+        cfg = OptimizerConfig(alpha=0.025, max_iters=1, test=TestConfig(0.5, max_sample_size=n),
+                              initial_sample_size=n)
+        x0 = np.full(problem.dim, problem.dim**-0.5)
+        tracemalloc.start()
+        try:
+            result = run_sqp_adaptive(problem, sphere, cfg, x0)
+            assert result.records[0].sample_size == n
+            return tracemalloc.get_traced_memory()[1] / (n * problem.dim * 8)
+        finally:
+            tracemalloc.stop()
+
+    def test_sqp_basic_at_2e5_rows(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        assert self.sqp_peak(make_basic_example(0)[0], 200_000) < 2.4
+
+    def test_sqp_portfolio_at_1e5_rows(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        assert self.sqp_peak(make_portfolio(0)[0], 100_000) < 2.4

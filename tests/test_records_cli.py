@@ -377,6 +377,20 @@ class TestCommandLine:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_overflowing_sqp_directions_write_one_error_line(self, tmp_path):
+        # a RuntimeWarning from the directions' products came before the
+        # error line when warnings were not errors
+        proc = subprocess.run(
+            [sys.executable, "-m", "adasamp", "run", "--problem", "portfolio", "--algorithm",
+             "sqp", "--alpha", "1e307", "--max-iters", "3", "--output", str(tmp_path / "run.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: norm test got a non-finite variance statistic (nan) from 10 samples: "
+            "a sampled gradient or SQP direction is not finite or overflows"
+        ]
+
     def test_compare_failure_exit_code(self, tmp_path, capsys):
         a = tiny_config(tmp_path, output=str(tmp_path / "a.csv"))
         b = tiny_config(tmp_path, seed=3, max_iters=4, output=str(tmp_path / "b.csv"))
