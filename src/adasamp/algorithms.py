@@ -146,10 +146,15 @@ def _tested(step: _Step, x, stats: GradientStats, against, cfg: OptimizerConfig)
 def _projected_step(cset: ConstraintSet, x, stats: GradientStats, cfg: OptimizerConfig) -> _Step:
     """The step x_next = P(x - alpha * mean gradient) and its reduced
     gradient (x - x_next) / alpha, with alpha from ``cfg``, guarded and
-    tested by ``_tested`` against that reduced gradient.
+    tested by ``_tested`` against that reduced gradient. ``ValueError`` if
+    a finite mean gradient gives a non-finite point.
     """
     alpha = cfg.alpha
-    x_next = project(cset, x - alpha * stats.mean_grad).point
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = x - alpha * stats.mean_grad
+    if not np.isfinite(point).all() and np.isfinite(stats.mean_grad).all():
+        raise ValueError(f"the projected step x - alpha * mean gradient overflows at alpha={alpha}")
+    x_next = project(cset, point).point
     step = _Step(x_next, (x - x_next) / alpha, stats.n)
     _tested(step, x, stats, step.reduced_grad, cfg)
     return step

@@ -58,11 +58,12 @@ _STREAM_BLOCK_ROWS = 2048
 _BLOCK_ROWS = 128
 _SLAB_ROWS = 128  # rows per slab of a tiled row-vector broadcast (``_rowwise``)
 
-# Passes over fewer rows run on the calling thread. On two CPUs, split
-# passes made the extended portfolio iteration at 10^4 rows up to 10%
-# slower: waking the pool and handing chunks over cost more than they saved.
+# Row passes over fewer rows run on the calling thread (``_split``). Split
+# passes on two CPUs made the extended portfolio iteration at 10^4 rows up
+# to 10% slower: waking the pool and handing chunks over cost more.
 _PARALLEL_MIN_ROWS = 32768
-# Largest chunk of a parallel pass, in rows.
+# Rows per chunk of an ``_in_parallel`` pass. A multiple of _STREAM_BLOCK_ROWS:
+# ``_moments`` indexes the blocks of a chunk as lo // _STREAM_BLOCK_ROWS.
 _CHUNK_ROWS = 8192
 
 
@@ -172,10 +173,10 @@ def fill_rows(
     sequence. The last block is truncated, so ``fill`` must write the same
     leading rows into a shorter ``out``: one vectorized draw into ``out``,
     then row-wise numpy work. A block that starts before ``stream.start`` is
-    drawn from its first row and its head dropped. From two blocks on, the
-    pool fills blocks too, with the same bits, so ``fill`` must be numpy work
-    on ``out`` only. In ``_reading_ahead`` on two or more CPUs, a call from
-    row 0 for a block or more, below ``_PARALLEL_MIN_ROWS`` rows, then fills
+    drawn from its first row and its head dropped. A draw that ``_split``
+    splits fills blocks on the pool too, so ``fill`` must be numpy work on
+    ``out`` only. In ``_reading_ahead`` on two or more CPUs, a call from row
+    0 for a block or more that ``_split`` keeps on this thread then fills
     the next iteration's first n rows on the pool (a smaller draw costs less
     than the handover); the next call from row 0 with that seed, iteration,
     d and ``fill`` (best one object) takes them, or their error.
@@ -189,11 +190,11 @@ def fill_rows(
         _local.ahead = ()
         if n > len(out):  # the rows that follow, queued after the blocks left
             tail = _draw(replace(stream, start=len(out)), n - len(out), d, fill, workers, handle)[0]
-    else:  # a draw inside one block runs on this thread alone
-        spans = stream.start % _STREAM_BLOCK_ROWS + n > _STREAM_BLOCK_ROWS
-        out, handle = _draw(stream, n, d, fill, workers if spans else 1)
-    if (_local.ahead == () and stream.start == 0 and workers > 1
-            and _STREAM_BLOCK_ROWS <= n < _PARALLEL_MIN_ROWS):
+    else:
+        out, handle = _draw(stream, n, d, fill, _split(n))
+    # the CPUs that _split leaves idle read ahead
+    if (_local.ahead == () and stream.start == 0 and n >= _STREAM_BLOCK_ROWS
+            and _split(n) < workers):
         rows, following = _draw(Stream(stream.seed, stream.iteration + 1), n, d, fill, workers)
         _local.ahead = (os.getpid(), (stream.seed, stream.iteration + 1, d, fill), rows, following)
     _join(handle)
@@ -285,38 +286,28 @@ def _executor():
         return _pool
 
 
-def _in_parallel(fn: Callable[[slice], None], n: int, step: Optional[int] = None) -> None:
-    """Call ``fn(rows)`` on row chunks that cover rows 0..n-1 once.
+def _split(n: int) -> int:
+    """Threads of a row pass over n rows, the one split rule of every pass:
+    one per CPU from ``_PARALLEL_MIN_ROWS`` rows on, else the calling thread."""
+    return _workers() if n >= _PARALLEL_MIN_ROWS else 1
 
-    Chunks are ``step`` rows, a multiple of ``_BLOCK_ROWS``, and the last
-    one is truncated, so a chunk's blocks are the pass's blocks and a
-    blocked BLAS call sees the rows it sees in a serial pass. The calling
-    thread and one pool thread per further CPU take chunks in turn until
-    none is left, so a CPU that another process or a read-ahead slows takes
-    fewer. By default a pass below ``_PARALLEL_MIN_ROWS`` rows runs on the
-    calling thread, and ``step`` is chosen from n; with ``step`` given, a
-    pass of two chunks splits. A chunk has at most ``_CHUNK_ROWS`` rows, on
-    the calling thread too, so that its scratch stays small. ``fn`` runs on
-    pool threads, so it may only do numpy work on rows it owns: in
-    particular it must not call a problem's evaluators or any traced
-    ``adasamp`` function.
+
+def _in_parallel(fn: Callable[[slice], None], n: int) -> None:
+    """Call ``fn(rows)`` on the ``_CHUNK_ROWS``-row chunks of rows 0..n-1,
+    the last one truncated: the same chunks at any thread count, each made
+    of the pass's own blocks, with small scratch at any n. The threads of
+    ``_split(n)`` take chunks in turn until none is left, so a CPU that
+    another process or a read-ahead slows takes fewer; on one, the calling
+    thread takes them all in order. ``fn`` runs on pool threads, so it may
+    only do numpy work on rows it owns: in particular it must not call a
+    problem's evaluators or any traced ``adasamp`` function.
     """
-    workers = _workers()
-    if step is None:
-        if n < _PARALLEL_MIN_ROWS:
-            workers = 1
-        # at least two chunks per CPU, of 512 to _CHUNK_ROWS rows
-        step = max(512, min(_CHUNK_ROWS, n // (2 * workers)) // 512 * 512)
-    if workers < 2 or n <= step:  # this thread alone
-        for lo in range(0, n, _CHUNK_ROWS):
-            fn(slice(lo, min(lo + _CHUNK_ROWS, n)))
-        return
-    _join(_start(fn, n, step, workers))
+    _join(_start(fn, n, _CHUNK_ROWS, _split(n)))
 
 
 def _start(fn, n: int, step: int, workers: int, handle=None):
     """Queue ``fn`` on rows 0..n-1 by ``step``, after the chunks of ``handle``
-    if given, and submit a drain of the queue per further CPU."""
+    if given, and submit a drain of the queue per worker past the first."""
     chunks, futures = handle or (deque(), [])
     chunks.extend([(fn, slice(lo, min(lo + step, n))) for lo in range(0, n, step)])
     futures += [_executor().submit(_drain, chunks) for _ in range(workers - 1)]
@@ -392,9 +383,9 @@ class Rows:
     """Per-sample rows, shape (n,) or (n, d), that ``write(part, out)``
     writes into ``out`` and returns, by numpy work on ``out`` only, so on
     any thread. ``model`` alone picks the parts: at most ``_CHUNK_ROWS``
-    rows from a multiple of ``_BLOCK_ROWS`` on. ``np.asarray`` forms every
-    row under ``_in_parallel``, and ``gradient_stats`` folds them into its
-    moments without the (n, d) array."""
+    rows from a multiple of ``_STREAM_BLOCK_ROWS`` on. ``np.asarray`` forms
+    every row under ``_in_parallel``, and ``gradient_stats`` folds them into
+    its moments without the (n, d) array."""
 
     def __init__(self, shape, write):
         self.shape = tuple(shape)
@@ -435,10 +426,9 @@ def _moments(rows):
     n >= 2 and all rows are equal. ``rows`` is only read.
 
     Block b of ``_STREAM_BLOCK_ROWS`` rows forms its column sum s_b and its
-    M2_b about its own mean c_b = s_b / n_b in a scratch buffer of its chunk,
-    under ``_in_parallel`` from two chunks on: an array's chunk is a block,
-    a ``Rows``' chunk ``_CHUNK_ROWS`` rows, written into the buffer a block
-    per call, so the calls and bits are those of the array and the block is
+    M2_b about its own mean c_b = s_b / n_b in a scratch buffer of its
+    ``_in_parallel`` chunk. A ``Rows`` is written into the buffer a block per
+    call, so the calls and bits are those of the array and the block is
     still in cache when it is read (whole-chunk writes of the extended
     portfolio's 101 columns made its statistics up to 1.16x slower on a
     2 MiB L2). The calling thread merges the blocks in block order (Chan,
@@ -476,7 +466,7 @@ def _moments(rows):
                 _rowwise(np.subtract, block, tile, dev)
                 m2[b] = np.einsum("ij,ij->", dev, dev)
 
-    _in_parallel(chunk, n, _CHUNK_ROWS if written else _STREAM_BLOCK_ROWS)
+    _in_parallel(chunk, n)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.add.reduce(sums, axis=0) / n
         if check and same.all():

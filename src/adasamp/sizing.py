@@ -49,11 +49,12 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
 
     rho = variance_stat / (theta^2 ||R||^2); the test passes iff rho <= 1,
     in which case the sample size is kept, otherwise it grows to
-    ceil(rho * n) clamped to the configured maximum. The drivers stop on a
-    (numerically) zero reduced gradient before testing; an exactly zero one,
-    which leaves rho undefined, is rejected, and so is a non-finite variance
-    statistic or squared reduced-gradient norm, which would otherwise read
-    as a failed test and grow the set to the cap.
+    ceil(min(rho * n, cap)) for the configured maximum cap, which an
+    overflowing rho * n gives too. The drivers stop on a (numerically) zero
+    reduced gradient before testing; an exactly zero one, which leaves rho
+    undefined, is rejected, and so is a non-finite variance statistic or
+    squared reduced-gradient norm, which would otherwise read as a failed
+    test and grow the set to the cap.
     """
     if stats.n < 2:
         raise ValueError("norm test needs at least two samples (variance undefined)")
@@ -74,8 +75,7 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
     rho = stats.variance_stat / (cfg.theta**2 * r_sq)
     if rho <= 1.0:
         return TestOutcome(True, rho, stats.n)
-    grown = math.ceil(rho * stats.n) if math.isfinite(rho) else cfg.max_sample_size
-    return TestOutcome(False, rho, min(grown, cfg.max_sample_size))
+    return TestOutcome(False, rho, math.ceil(min(rho * stats.n, cfg.max_sample_size)))
 
 
 def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:

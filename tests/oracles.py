@@ -124,11 +124,25 @@ def spgd_step(problem, cset, x, sample_set, alpha):
 
 
 def set_workers(monkeypatch, workers):
-    """Run the parallel passes as on ``workers`` CPUs. Passes split from 4096
-    rows on, so that small sizes cover the split (the keyed draw splits from
-    two blocks on anyway)."""
+    """Run the row passes as on ``workers`` CPUs. Passes split from 4096 rows
+    on, in chunks of one 2048-row block, so that small sizes cover the split
+    and a pass of 4096 rows or more runs on two or more chunks."""
     monkeypatch.setattr(model, "_workers", lambda: workers)
     monkeypatch.setattr(model, "_PARALLEL_MIN_ROWS", 4096)
+    monkeypatch.setattr(model, "_CHUNK_ROWS", model._STREAM_BLOCK_ROWS)
+
+
+def counting_drains(monkeypatch):
+    """A list that gets one entry per drain submitted to the row pool."""
+    submitted, executor = [], model._executor
+
+    class Counting:
+        def submit(self, fn, *args):
+            submitted.append(fn)
+            return executor().submit(fn, *args)
+
+    monkeypatch.setattr(model, "_executor", Counting)
+    return submitted
 
 
 def keyed_rows(seed, iteration, n, draw):

@@ -155,6 +155,17 @@ class TestRunSpgdAdaptive:
         sizes = [r.sample_size for r in res.records]
         assert 5000 in sizes[:4]
 
+    @pytest.mark.parametrize("make", [make_basic_example, make_portfolio])
+    def test_an_overflowing_step_raises_without_a_warning(self, make):
+        # x - alpha * mean gradient overflowed with a RuntimeWarning, and the
+        # basic run then stopped as stationary on the projected infinities
+        problem, cset = make(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="projected step .* overflows at alpha=1.7e"):
+                run_spgd_adaptive(problem, cset, cfg(alpha=1.7e308, iters=3),
+                                  np.full(problem.dim, 0.01))
+
     def test_stationary_stop_on_constant_objective(self):
         problem = quadratic_deterministic(np.zeros(3))
         res = run_spgd_adaptive(problem, full_space(3), cfg(iters=50), np.zeros(3))

@@ -41,6 +41,7 @@ from oracles import (
     blocked_moments,
     blocked_product,
     central_diff,
+    counting_drains,
     keyed_rows,
     rel_err,
     rowwise_problem,
@@ -236,7 +237,8 @@ class TestReadAhead:
         assert np.array_equal(got, fill_rows(Stream(4, 7), BLOCK, 5, uniform))
 
     def test_an_error_surfaces_from_the_call_that_takes_its_rows_only(self, monkeypatch):
-        monkeypatch.setattr(model, "_workers", lambda: 2)
+        set_workers(monkeypatch, 2)  # passes of three blocks split
+        submitted = counting_drains(monkeypatch)
 
         def failing(g, out):
             if on_the_pool():
@@ -247,8 +249,10 @@ class TestReadAhead:
             fill_rows(Stream(4, 6), BLOCK, 5, failing)  # one block, on this thread
             wait(model._local.ahead[3][1])  # the read-ahead's block has failed
             fill_rows(Stream(9, 7), BLOCK, 5, failing)
-            model._in_parallel(lambda rows: None, 3 * BLOCK, BLOCK)
+            drains = len(submitted)
+            model._in_parallel(lambda rows: None, 3 * BLOCK)
             gradient_stats(np.ones((3 * BLOCK, 2)))
+            assert len(submitted) == drains + 2  # both passes split
             with pytest.raises(ArithmeticError, match="fill failed"):
                 fill_rows(Stream(4, 7), BLOCK, 5, failing)
             # the next read-ahead started before the join raised; the scope
@@ -461,7 +465,13 @@ class TestRowParallelPasses:
 
     def at_workers(self, monkeypatch, workers, fn):
         set_workers(monkeypatch, workers)
-        return [fn(n) for n in PASS_SIZES]
+        submitted = counting_drains(monkeypatch)
+        results = []
+        for n in PASS_SIZES:
+            submitted.clear()
+            results.append(fn(n))
+            assert bool(submitted) == (workers > 1), (workers, n)  # a parallel run splits
+        return results
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_basic_value_and_grad_passes(self, monkeypatch, inputs, workers):
@@ -469,7 +479,8 @@ class TestRowParallelPasses:
         a, b = problem.params["a"], problem.params["b"]
 
         def passes(n):
-            return problem.value_many(x, xis[:n]), problem.grad_many(x, xis[:n])
+            rows = xis[:n]
+            return np.asarray(problem.value_many(x, rows)), np.asarray(problem.grad_many(x, rows))
 
         serial = self.at_workers(monkeypatch, 1, passes)
         parallel = self.at_workers(monkeypatch, workers, passes)
@@ -508,6 +519,29 @@ class TestRowParallelPasses:
             np.testing.assert_allclose(s1.mean_grad, mean, rtol=1e-13, atol=1e-16)
             assert s1.variance_stat == pytest.approx(var, rel=1e-13)
 
+    @pytest.mark.parametrize("kind", ["cold draw", "rows", "array stats", "rows stats"])
+    def test_one_split_rule_for_every_pass(self, monkeypatch, kind):
+        # at two workers, every pass runs on the calling thread one row short
+        # of the split size and splits from there on
+        set_workers(monkeypatch, 2)
+        submitted = counting_drains(monkeypatch)
+        split = model._PARALLEL_MIN_ROWS
+        m = np.random.default_rng(3).normal(size=(split, 3))
+
+        def rows(n):
+            return Rows((n, 3), lambda part, out: np.multiply(m[part], 2.0, out=out))
+
+        run = {
+            "cold draw": lambda n: fill_rows(Stream(1, 3), n, 3, uniform),
+            "rows": lambda n: np.asarray(rows(n)),
+            "array stats": lambda n: gradient_stats(m[:n]),
+            "rows stats": lambda n: gradient_stats(rows(n)),
+        }[kind]
+        for n in (split - 1, split):
+            submitted.clear()
+            run(n)
+            assert bool(submitted) == (n >= split), n
+
     def test_every_row_once_with_more_threads_than_cpus(self, monkeypatch):
         # eight threads take chunks from one shared list while the
         # interpreter switches threads as often as it can: a chunk handed
@@ -544,6 +578,7 @@ class TestRowParallelPasses:
         from concurrent.futures import ThreadPoolExecutor
 
         set_workers(monkeypatch, 4)
+        monkeypatch.setattr(model, "_CHUNK_ROWS", 512)
         pool = ThreadPoolExecutor(3)
         monkeypatch.setattr(model, "_pool", pool)
         monkeypatch.setattr(model, "_pool_pid", os.getpid())
@@ -566,7 +601,7 @@ class TestRowParallelPasses:
 
         try:
             with pytest.raises(ArithmeticError, match="chunk failed"):
-                model._in_parallel(chunk, 20 * 512, 512)
+                model._in_parallel(chunk, 20 * 512)
             with lock:
                 at_return = (sorted(started), sorted(finished))
             threading.Event().wait(0.1)
@@ -583,6 +618,7 @@ class TestRowParallelPasses:
         from concurrent.futures import ThreadPoolExecutor
 
         set_workers(monkeypatch, 2)
+        monkeypatch.setattr(model, "_CHUNK_ROWS", 512)
         pool = ThreadPoolExecutor(1)
         monkeypatch.setattr(model, "_pool", pool)
         monkeypatch.setattr(model, "_pool_pid", os.getpid())
@@ -601,7 +637,7 @@ class TestRowParallelPasses:
 
         try:
             busy = submit(threading.Event().wait, 0.5)
-            model._in_parallel(chunk, 20 * 512, 512)
+            model._in_parallel(chunk, 20 * 512)
             returned = time.perf_counter()
             assert not busy.done()
         finally:
@@ -614,15 +650,7 @@ class TestRowParallelPasses:
         # worker threads run numpy kernels only: the benchmark's tracer
         # wraps the problem's fields with one shared span stack
         set_workers(monkeypatch, 2)
-        submitted = []
-        executor = model._executor
-
-        class Counting:
-            def submit(self, fn, *args):
-                submitted.append(fn)
-                return executor().submit(fn, *args)
-
-        monkeypatch.setattr(model, "_executor", Counting)
+        submitted = counting_drains(monkeypatch)
         threads = []
 
         def on_thread(fn):

@@ -377,6 +377,33 @@ class TestCommandLine:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_a_theta_whose_growth_overflows_runs_at_the_cap(self, tmp_path):
+        # rho * n overflowed to inf, and its ceil ended the run in an
+        # OverflowError traceback with exit code 1
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "adasamp", "run", "--problem", "basic",
+             "--algorithm", "spgd", "--theta", "4.477795572719686e-156",
+             "--max-sample-size", "1000", "--max-iters", "2",
+             "--output", str(tmp_path / "run.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [r.sample_size for r in read_csv(tmp_path / "run.csv")] == [10, 1000]
+
+    @pytest.mark.parametrize("problem", ["basic", "portfolio"])
+    def test_an_overflowing_projected_step_writes_one_error_line(self, tmp_path, problem):
+        # a RuntimeWarning from x - alpha * mean gradient came first, and the
+        # basic run then reported a stationary stop with exit code 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "adasamp", "run", "--problem", problem, "--algorithm", "spgd",
+             "--alpha", "1.7e308", "--max-iters", "3", "--output", str(tmp_path / "run.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: the projected step x - alpha * mean gradient overflows at alpha=1.7e+308"
+        ]
+
     def test_overflowing_sqp_directions_write_one_error_line(self, tmp_path):
         # a RuntimeWarning from the directions' products came before the
         # error line when warnings were not errors

@@ -42,6 +42,12 @@ class TestNormTest:
         out = norm_test(stats(1e9, n=10), np.array([1e-2, 0.0, 0.0]), cfg)
         assert out.next_size == 64
 
+    def test_growth_that_overflows_is_clamped_to_cap(self):
+        # rho = 1e308 is finite, but ceil(rho * n) raised OverflowError
+        out = norm_test(GradientStats(np.zeros(1), 1.0, 10), np.array([1e-4]), TestConfig(1e-150))
+        assert not out.passed and out.rho == pytest.approx(1e308)
+        assert out.next_size == TestConfig(1e-150).max_sample_size
+
     def test_near_zero_reduced_gradient_signals_convergence(self):
         # the drivers stop before testing; the test itself only refuses to
         # divide by a zero reduced gradient
