@@ -132,9 +132,11 @@ STATIONARITY_TOL = 1e-8
 def _tested(step: _Step, x, stats: GradientStats, against, cfg: OptimizerConfig):
     """The stationarity guard on ``step.reduced_grad``, then, unless it trips
     or ``cfg.test`` is None, the norm test of ``stats`` against ``against``:
-    sets the step's status, or its rho and next size; returns the outcome."""
-    guard = STATIONARITY_TOL * (1.0 + float(np.linalg.norm(x)))
-    if float(np.linalg.norm(step.reduced_grad)) <= guard:
+    sets the step's status, or its rho and next size; returns the outcome.
+    A norm that overflows is inf, above any guard, and warns nothing."""
+    with np.errstate(over="ignore"):
+        norm_x, norm_r = (float(np.linalg.norm(v)) for v in (x, step.reduced_grad))
+    if norm_r <= STATIONARITY_TOL * (1.0 + norm_x):
         step.status = STATUS_STATIONARY
     elif cfg.test is not None:
         outcome = norm_test(stats, against, cfg.test)

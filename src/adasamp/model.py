@@ -176,34 +176,30 @@ def fill_rows(
     drawn from its first row and its head dropped. A draw that ``_split``
     splits fills blocks on the pool too, so ``fill`` must be numpy work on
     ``out`` only. In ``_reading_ahead`` on two or more CPUs, a call from row
-    0 for a block or more that ``_split`` keeps on this thread then fills
+    0 for a block or more that ``_split`` keeps on this thread then draws
     the next iteration's first n rows on the pool (a smaller draw costs less
-    than the handover); the next call from row 0 with that seed, iteration,
-    d and ``fill`` (best one object) takes them, or their error.
+    than the handover). The next call of that ``Stream``, d and ``fill``
+    (best one object) in this process, not a forked child, takes them whole,
+    or their error, and draws any rows past them as ``extend_samples`` does.
     """
-    if _local.ahead and _local.ahead[0] != os.getpid():  # a forked child's copy: no threads
-        _local.ahead = ()
     ahead, workers = _local.ahead, _workers()
-    taken = ahead and stream.start == 0 and ahead[1] == (stream.seed, stream.iteration, d, fill)
-    if taken:
-        _, _, out, handle = ahead
+    if ahead and ahead[0] == (os.getpid(), stream, d, fill):  # a forked child's copy never matches
         _local.ahead = ()
-        if n > len(out):  # the rows that follow, queued after the blocks left
-            tail = _draw(replace(stream, start=len(out)), n - len(out), d, fill, workers, handle)[0]
+        out, handle = ahead[1:]
     else:
         out, handle = _draw(stream, n, d, fill, _split(n))
     # the CPUs that _split leaves idle read ahead
     if (_local.ahead == () and stream.start == 0 and n >= _STREAM_BLOCK_ROWS
             and _split(n) < workers):
-        rows, following = _draw(Stream(stream.seed, stream.iteration + 1), n, d, fill, workers)
-        _local.ahead = (os.getpid(), (stream.seed, stream.iteration + 1, d, fill), rows, following)
+        key = (os.getpid(), Stream(stream.seed, stream.iteration + 1), d, fill)
+        _local.ahead = (key, *_draw(key[1], n, d, fill, workers))
     _join(handle)
-    if taken:
-        out = np.concatenate([out, tail]) if n > len(out) else out[:n]
-    return out
+    if n > len(out):  # the rows that follow the rows read ahead
+        out = np.vstack([out, fill_rows(replace(stream, start=len(out)), n - len(out), d, fill)])
+    return out[:n]
 
 
-def _draw(stream: Stream, n: int, d: int, fill, workers: int, handle=None):
+def _draw(stream: Stream, n: int, d: int, fill, workers: int):
     """``_start`` on the keyed blocks of the rows of ``fill_rows``: (rows, handle)."""
     first = stream.start - stream.start % _STREAM_BLOCK_ROWS
     out = np.empty((stream.start + n - first, d))
@@ -215,7 +211,7 @@ def _draw(stream: Stream, n: int, d: int, fill, workers: int, handle=None):
             block = out[lo : min(lo + _STREAM_BLOCK_ROWS, rows.stop)]
             fill(np.random.Generator(np.random.SFC64(seq)), block)
 
-    return out[stream.start - first :], _start(chunk, len(out), _STREAM_BLOCK_ROWS, workers, handle)
+    return out[stream.start - first :], _start(chunk, len(out), _STREAM_BLOCK_ROWS, workers)
 
 
 def _blocked_matmul(m: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -268,22 +264,21 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-_pool = None
-_pool_pid = None
+_pool = (None, None)  # (pid of the process that made it, pool)
 _pool_lock = threading.Lock()
 
 
 def _executor():
-    """The row-chunk thread pool, created on first use (and again in a
-    forked child, which inherits the pool object but not its threads)."""
-    global _pool, _pool_pid
+    """The row-chunk thread pool, made on first use in each process: a forked
+    child inherits its parent's (pid, pool) but none of the pool's threads."""
+    global _pool
     with _pool_lock:
-        if _pool is None or _pool_pid != os.getpid():
+        if _pool[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1), "adasamp-rows")
-            _pool_pid = os.getpid()
-        return _pool
+            threads = max(1, (os.cpu_count() or 1) - 1)
+            _pool = os.getpid(), ThreadPoolExecutor(threads, "adasamp-rows")
+        return _pool[1]
 
 
 def _split(n: int) -> int:
@@ -305,13 +300,11 @@ def _in_parallel(fn: Callable[[slice], None], n: int) -> None:
     _join(_start(fn, n, _CHUNK_ROWS, _split(n)))
 
 
-def _start(fn, n: int, step: int, workers: int, handle=None):
-    """Queue ``fn`` on rows 0..n-1 by ``step``, after the chunks of ``handle``
-    if given, and submit a drain of the queue per worker past the first."""
-    chunks, futures = handle or (deque(), [])
-    chunks.extend([(fn, slice(lo, min(lo + step, n))) for lo in range(0, n, step)])
-    futures += [_executor().submit(_drain, chunks) for _ in range(workers - 1)]
-    return chunks, futures
+def _start(fn, n: int, step: int, workers: int):
+    """Queue ``fn`` on rows 0..n-1 by ``step`` and submit a drain of the
+    queue per worker past the first: the handle (queue, futures) of ``_join``."""
+    chunks = deque([(fn, slice(lo, min(lo + step, n))) for lo in range(0, n, step)])
+    return chunks, [_executor().submit(_drain, chunks) for _ in range(workers - 1)]
 
 
 def _drain(chunks: deque) -> None:
@@ -341,7 +334,7 @@ def _join(handle, cancel: bool = False) -> None:
 
 
 class _Local(threading.local):
-    ahead = None  # inside ``_reading_ahead``, () or (pid, key, rows, handle)
+    ahead = None  # inside ``_reading_ahead``, () or ((pid, stream, d, fill), rows, handle)
 
 
 _local = _Local()  # per thread, as each thread runs its own drivers
@@ -349,13 +342,14 @@ _local = _Local()  # per thread, as each thread runs its own drivers
 
 @contextmanager
 def _reading_ahead():
-    """Let ``fill_rows`` read ahead; on exit, drop the read-ahead and wait for its chunks."""
+    """Let ``fill_rows`` read ahead; on exit, drop a read-ahead that this
+    process started and wait for its chunks."""
     outer, _local.ahead = _local.ahead, ()
     try:
         yield
     finally:
-        if _local.ahead and _local.ahead[0] == os.getpid():
-            _join(_local.ahead[3], cancel=True)
+        if _local.ahead and _local.ahead[0][0] == os.getpid():
+            _join(_local.ahead[2], cancel=True)
         _local.ahead = outer
 
 

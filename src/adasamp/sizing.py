@@ -50,11 +50,13 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
     rho = variance_stat / (theta^2 ||R||^2); the test passes iff rho <= 1,
     in which case the sample size is kept, otherwise it grows to
     ceil(min(rho * n, cap)) for the configured maximum cap, which an
-    overflowing rho * n gives too. The drivers stop on a (numerically) zero
-    reduced gradient before testing; an exactly zero one, which leaves rho
-    undefined, is rejected, and so is a non-finite variance statistic or
-    squared reduced-gradient norm, which would otherwise read as a failed
-    test and grow the set to the cap.
+    overflowing rho * n gives too. A denominator that underflows to 0.0
+    gives rho = inf (the cap) over a positive statistic and 0 over a zero
+    one. The drivers stop on a (numerically) zero reduced gradient before
+    testing; an exactly zero one, which leaves rho undefined, is rejected,
+    and so is a non-finite variance statistic or squared reduced-gradient
+    norm, which would otherwise read as a failed test and grow the set to
+    the cap.
     """
     if stats.n < 2:
         raise ValueError("norm test needs at least two samples (variance undefined)")
@@ -72,7 +74,8 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
         )
     if r_sq == 0.0:
         raise ValueError("norm test needs a nonzero reduced gradient")
-    rho = stats.variance_stat / (cfg.theta**2 * r_sq)
+    bound = cfg.theta**2 * r_sq  # the statistic's bound, 0.0 where it underflows
+    rho = stats.variance_stat / bound if bound else (math.inf if stats.variance_stat else 0.0)
     if rho <= 1.0:
         return TestOutcome(True, rho, stats.n)
     return TestOutcome(False, rho, math.ceil(min(rho * stats.n, cfg.max_sample_size)))

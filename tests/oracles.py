@@ -8,9 +8,10 @@ Reference code that only the tests use lives here too: the box and the
 hyperplane (leaf sets no driver or CLI path projects onto), the exact
 empirical VaR and CVaR, one projected gradient step as the drivers take it,
 a Monte-Carlo check of the moments the sample-size theory controls, the
-setting of the worker count under which the parallel passes run, and the
+setting of the worker count under which the parallel passes run, the
 keyed sample stream, the blocked product and the blocked moment kernel
-written out block by block.
+written out block by block, and the adaptive spgd run on the packaged
+problems written out as a plain loop over them.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adasamp import algorithms, model
+from adasamp import algorithms, model, records
 from adasamp.geometry import (
     ConstraintSet,
     Halfspace,
@@ -196,6 +197,52 @@ def blocked_moments(rows):
         m2 += np.einsum("ij,ij->", dev, dev)
         spread += ((c_b - mean) ** 2).sum() * len(block)
     return mean, m2 + spread
+
+
+def reference_spgd(problem, cset, cfg, x0):
+    """``algorithms.run_spgd_adaptive`` on a packaged problem written out as
+    one plain loop with no ``Rows``, no pool and no read-ahead: (records,
+    status). Set k is the first n rows of ``keyed_rows`` of iteration k; the
+    gradients and values are numpy broadcasting in the library's order, with
+    the per-row products of ``blocked_product``; the statistics are
+    ``blocked_moments``; the projection is ``np.maximum`` on the basic
+    problem's orthant and ``project`` on the portfolio set; then come the
+    stationarity guard and the norm test's formula. Only the frozen
+    parameters are read from ``problem.params``."""
+    params, test = problem.params, cfg.test
+    if "a" in params:  # the basic problem: f = sum_l a_l (x_l - b_l xi_l)^2 on x >= 0
+        a, b = params["a"], params["b"]
+        draw = lambda g, rows: g.random((rows, a.size))
+        grads = lambda x, xis: ((-b) * xis + x) * (2.0 * a)
+        values = lambda x, xis: blocked_product(np.square((-b) * xis + x), a)
+        proj, optimum = (lambda y: np.maximum(y, 0.0)), np.maximum(0.0, b / 2.0)
+    else:  # the portfolio: f = -<xi, x> with xi = A + B u
+        A, B = params["A"], params["B"]
+        draw = lambda g, rows: blocked_product(g.standard_normal((rows, A.size)), B.T) + A
+        grads = lambda x, xis: -xis
+        values = lambda x, xis: blocked_product(xis, -x)
+        proj, optimum = (lambda y: project(cset, y).point), None
+    x, n = proj(np.asarray(x0, dtype=float)), cfg.initial_sample_size
+    cum, out, status = 0, [], "completed"
+    for k in range(cfg.max_iters):
+        xis = keyed_rows(cfg.seed, k, n, draw)
+        mean, m2 = blocked_moments(grads(x, xis))
+        x_next = proj(x - cfg.alpha * mean)
+        reduced = (x - x_next) / cfg.alpha
+        rho, next_n = None, n
+        if np.linalg.norm(reduced) <= algorithms.STATIONARITY_TOL * (1.0 + np.linalg.norm(x)):
+            status = "stationary"
+        elif test is not None:
+            rho = m2 / ((n - 1) * n) / (test.theta**2 * float(reduced @ reduced))
+            if rho > 1.0:
+                next_n = math.ceil(min(rho * n, test.max_sample_size))
+        cum += n
+        err = None if optimum is None else float(np.linalg.norm(x - optimum))
+        out.append(records.RunRecord(k, n, cum, float(np.mean(values(x, xis))), err, rho))
+        if status != "completed":
+            break
+        x, n = x_next, next_n
+    return out, status
 
 
 def full_space(dim):

@@ -18,6 +18,7 @@ from adasamp.algorithms import (
 from adasamp.geometry import NonNegativeOrthant, project
 from adasamp.model import StochasticProblem, batch_values, draw_samples, fill_rows, sample_gradient
 from adasamp.problems import make_basic_example, make_portfolio
+from adasamp.records import csv_body, write_csv
 from adasamp.risk import ExtendedProblem, smoothed_cvar
 from adasamp.sizing import TestConfig
 from oracles import (
@@ -25,8 +26,10 @@ from oracles import (
     feasibility_residual,
     full_space,
     kkt_sqp_oracle,
+    reference_spgd,
     rel_err,
     rowwise_problem,
+    set_workers,
     spgd_step,
 )
 
@@ -166,6 +169,16 @@ class TestRunSpgdAdaptive:
                 run_spgd_adaptive(problem, cset, cfg(alpha=1.7e308, iters=3),
                                   np.full(problem.dim, 0.01))
 
+    def test_a_reduced_gradient_whose_norm_overflows_warns_nothing(self):
+        # at alpha ~ 1e-243 the stationarity guard's norm of the reduced
+        # gradient (x - x_next) / alpha overflowed with a RuntimeWarning
+        problem, cset = make_portfolio(3)
+        c = cfg(alpha=1.2173085604029835e-243, iters=1, s0=222, seed=3, test=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_spgd_adaptive(problem, cset, c, np.full(100, 0.01))
+        assert len(res.records) == 1 and res.status == "completed"
+
     def test_stationary_stop_on_constant_objective(self):
         problem = quadratic_deterministic(np.zeros(3))
         res = run_spgd_adaptive(problem, full_space(3), cfg(iters=50), np.zeros(3))
@@ -183,6 +196,37 @@ class TestRunSpgdAdaptive:
         window = ks >= 10
         slope = np.polyfit(ks[window], np.log(errs[window]), 1)[0]
         assert slope < 0
+
+
+class TestReferenceSpgd:
+    """``run_spgd_adaptive`` against ``oracles.reference_spgd``, the same run
+    written out as a plain loop. The sets cross a keyed block (2048 rows)
+    and the split size of ``set_workers`` (4096 rows) on their way to the
+    cap, so at two workers the run also splits its passes and reads ahead."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "make, alpha, theta, iters, start",
+        [(make_basic_example, 0.025, 0.02, 30, 1.0), (make_portfolio, 0.02, 0.3, 20, 0.01)],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_records_and_status_of_the_plain_loop(
+        self, monkeypatch, tmp_path, workers, make, alpha, theta, iters, start, seed
+    ):
+        problem, cset = make(seed)
+        c = cfg(alpha=alpha, iters=iters, theta=theta, seed=seed, test_kw={"max_sample_size": 6000})
+        x0 = np.full(problem.dim, start)
+        set_workers(monkeypatch, workers)
+        res = run_spgd_adaptive(problem, cset, c, x0)
+        want, status = reference_spgd(problem, cset, c, x0)
+        write_csv(res.records, tmp_path / "run.csv")
+        write_csv(want, tmp_path / "reference.csv")
+        assert csv_body(tmp_path / "run.csv") == csv_body(tmp_path / "reference.csv")
+        assert res.status == status
+        sizes = [r.sample_size for r in res.records]
+        assert sizes[-1] == 6000
+        # a set read ahead at two workers is taken and grown by the next draw
+        assert any(2048 <= n < 4096 and m > n for n, m in zip(sizes, sizes[1:]))
 
 
 class TestSqpDirection:

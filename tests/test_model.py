@@ -177,8 +177,8 @@ class TestReadAhead:
                 assert bool(model._local.ahead) == (workers > 1 and n >= BLOCK)
                 got = fill_rows(Stream(4, 7), m, 5, uniform)
                 if workers > 1 and n >= BLOCK:  # taken, and the next one read ahead
-                    assert model._local.ahead[1] == (4, 8, 5, uniform)
-                    assert model._local.ahead[2].shape == (m, 5)
+                    assert model._local.ahead[0][1:] == (Stream(4, 8), 5, uniform)
+                    assert model._local.ahead[1].shape == (m, 5)
             assert model._local.ahead is None
             assert got.shape == (m, 5)
             assert np.array_equal(got, fill_rows(Stream(4, 7), m, 5, uniform)), m
@@ -202,7 +202,7 @@ class TestReadAhead:
             seen.append(model._local.ahead)
             with model._reading_ahead():
                 fill_rows(Stream(4, 6), BLOCK, 5, uniform)
-                seen.append(model._local.ahead[1])
+                seen.append(model._local.ahead[0][1:])
 
         with model._reading_ahead():
             fill_rows(Stream(4, 6), BLOCK, 5, uniform)
@@ -212,7 +212,7 @@ class TestReadAhead:
             thread.join(10)
             assert not thread.is_alive()
             assert model._local.ahead is ahead
-        assert seen == [None, (4, 7, 5, uniform)]
+        assert seen == [None, (Stream(4, 7), 5, uniform)]
 
     @pytest.mark.parametrize(
         "stream, d, fill",
@@ -247,7 +247,7 @@ class TestReadAhead:
 
         with model._reading_ahead():
             fill_rows(Stream(4, 6), BLOCK, 5, failing)  # one block, on this thread
-            wait(model._local.ahead[3][1])  # the read-ahead's block has failed
+            wait(model._local.ahead[2][1])  # the read-ahead's block has failed
             fill_rows(Stream(9, 7), BLOCK, 5, failing)
             drains = len(submitted)
             model._in_parallel(lambda rows: None, 3 * BLOCK)
@@ -257,11 +257,11 @@ class TestReadAhead:
                 fill_rows(Stream(4, 7), BLOCK, 5, failing)
             # the next read-ahead started before the join raised; the scope
             # drops it
-            assert model._local.ahead[1] == (4, 8, 5, failing)
+            assert model._local.ahead[0][1:] == (Stream(4, 8), 5, failing)
         # a read-ahead that nothing takes fails silently
         with model._reading_ahead():
             fill_rows(Stream(4, 6), BLOCK, 5, failing)
-            wait(model._local.ahead[3][1])
+            wait(model._local.ahead[2][1])
 
     @pytest.mark.parametrize("ending", ["return", "error"])
     def test_no_fill_starts_after_the_driver_returns(self, monkeypatch, ending):
@@ -550,8 +550,7 @@ class TestRowParallelPasses:
 
         set_workers(monkeypatch, 8)
         pool = ThreadPoolExecutor(7)
-        monkeypatch.setattr(model, "_pool", pool)
-        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        monkeypatch.setattr(model, "_pool", (os.getpid(), pool))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -580,8 +579,7 @@ class TestRowParallelPasses:
         set_workers(monkeypatch, 4)
         monkeypatch.setattr(model, "_CHUNK_ROWS", 512)
         pool = ThreadPoolExecutor(3)
-        monkeypatch.setattr(model, "_pool", pool)
-        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        monkeypatch.setattr(model, "_pool", (os.getpid(), pool))
         lock = threading.Lock()
         started, finished, failed = [], [], []
 
@@ -620,8 +618,7 @@ class TestRowParallelPasses:
         set_workers(monkeypatch, 2)
         monkeypatch.setattr(model, "_CHUNK_ROWS", 512)
         pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(model, "_pool", pool)
-        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        monkeypatch.setattr(model, "_pool", (os.getpid(), pool))
         submit, submitted = pool.submit, []
 
         def recorded(fn, *args):

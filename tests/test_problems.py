@@ -221,8 +221,7 @@ class TestPortfolio:
                 finished.append(u.shape[0])
 
         pool = ThreadPoolExecutor(3)
-        monkeypatch.setattr(model, "_pool", pool)
-        monkeypatch.setattr(model, "_pool_pid", os.getpid())
+        monkeypatch.setattr(model, "_pool", (os.getpid(), pool))
         monkeypatch.setattr(problems, "_blocked_matmul", slow)
         set_workers(monkeypatch, 4)
         try:

@@ -390,6 +390,34 @@ class TestCommandLine:
         assert proc.returncode == 0, proc.stderr
         assert [r.sample_size for r in read_csv(tmp_path / "run.csv")] == [10, 1000]
 
+    @pytest.mark.parametrize(
+        "flags, sizes, status",
+        [
+            # 1e-322 * ||R||^2 underflows from the first iteration on
+            (["--algorithm", "spgd", "--theta", "1e-161", "--max-sample-size", "1000",
+              "--max-iters", "300"], [10] + [1000] * 299, "completed"),
+            (["--algorithm", "sqp", "--alpha", "2.5317685913286994e-113",
+              "--theta", "1.1156778113415024e-137", "--s0", "20", "--max-sample-size", "601",
+              "--max-iters", "2", "--seed", "1"], [601], "sample-budget-exhausted"),
+        ],
+    )
+    def test_a_test_bound_that_underflows_grows_the_set_to_the_cap(
+        self, tmp_path, flags, sizes, status
+    ):
+        # theta^2 * ||R||^2 underflowed to 0.0, and the norm test's division
+        # ended the run in a ZeroDivisionError traceback with exit code 1
+        out = tmp_path / "run.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "adasamp", "run", "--problem", "basic", *flags,
+             "--output", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        records = read_csv(out)
+        assert [r.sample_size for r in records] == sizes
+        assert records[-1].rho == float("inf")
+        assert json.loads(out.with_name("run.csv.meta.json").read_text())["status"] == status
+
     @pytest.mark.parametrize("problem", ["basic", "portfolio"])
     def test_an_overflowing_projected_step_writes_one_error_line(self, tmp_path, problem):
         # a RuntimeWarning from x - alpha * mean gradient came first, and the

@@ -48,6 +48,15 @@ class TestNormTest:
         assert not out.passed and out.rho == pytest.approx(1e308)
         assert out.next_size == TestConfig(1e-150).max_sample_size
 
+    @pytest.mark.parametrize("variance, rho, passed, size", [(1e-300, math.inf, False, 1000),
+                                                             (0.0, 0.0, True, 10)])
+    def test_a_denominator_that_underflows_gives_rho_inf_or_zero(self, variance, rho, passed, size):
+        # theta^2 * ||R||^2 = 1e-322 * 1e-20 underflows to 0.0, and the
+        # division raised ZeroDivisionError
+        cfg = TestConfig(1e-161, max_sample_size=1000)
+        out = norm_test(stats(variance), np.array([1e-10, 0.0, 0.0]), cfg)
+        assert (out.rho, out.passed, out.next_size) == (rho, passed, size)
+
     def test_near_zero_reduced_gradient_signals_convergence(self):
         # the drivers stop before testing; the test itself only refuses to
         # divide by a zero reduced gradient
