@@ -55,6 +55,7 @@ __all__ = [
 STATUS_COMPLETED = "completed"
 STATUS_STATIONARY = "stationary"
 STATUS_SAMPLE_BUDGET = "sample-budget-exhausted"
+STATUS_STEP_TOO_SMALL = "step-too-small"
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ class OptimizerConfig:
     sample-size test and keeps ``initial_sample_size`` throughout (the rho
     column stays empty).
     Stopping: always after ``max_iters``; early on stationarity (reduced
-    gradient norm at most STATIONARITY_TOL * (1 + ||x||)).
+    gradient norm at most STATIONARITY_TOL * (1 + ||x||)) or on a projected
+    step that rounds to x (``_projected_step``).
     """
 
     alpha: float
@@ -149,7 +151,10 @@ def _projected_step(cset: ConstraintSet, x, stats: GradientStats, cfg: Optimizer
     """The step x_next = P(x - alpha * mean gradient) and its reduced
     gradient (x - x_next) / alpha, with alpha from ``cfg``, guarded and
     tested by ``_tested`` against that reduced gradient. ``ValueError`` if
-    a finite mean gradient gives a non-finite point.
+    a finite mean gradient gives a non-finite point. A nonzero mean gradient
+    whose step x - alpha * mean gradient rounds to x itself ends the run as
+    "step-too-small", untested: the reduced gradient would be rounding over
+    alpha, a false stationary point or a false passed test.
     """
     alpha = cfg.alpha
     with np.errstate(over="ignore", invalid="ignore"):
@@ -158,7 +163,10 @@ def _projected_step(cset: ConstraintSet, x, stats: GradientStats, cfg: Optimizer
         raise ValueError(f"the projected step x - alpha * mean gradient overflows at alpha={alpha}")
     x_next = project(cset, point).point
     step = _Step(x_next, (x - x_next) / alpha, stats.n)
-    _tested(step, x, stats, step.reduced_grad, cfg)
+    if np.array_equal(point, x) and stats.mean_grad.any():
+        step.status = STATUS_STEP_TOO_SMALL
+    else:
+        _tested(step, x, stats, step.reduced_grad, cfg)
     return step
 
 
@@ -231,25 +239,18 @@ def _expectation_step(problem, cset: ConstraintSet, cfg: OptimizerConfig, aux_t:
     return step
 
 
-def run_spgd_adaptive(
-    problem,
-    cset: ConstraintSet,
-    cfg: OptimizerConfig,
-    x0,
-    known_optimum=None,
-) -> RunResult:
+def run_spgd_adaptive(problem, cset: ConstraintSet, cfg: OptimizerConfig, x0) -> RunResult:
     """Adaptive-sampling projected gradient descent.
 
     Per iteration: draw a fresh sample set, take the projected step, run the
     norm test on the same set, and size the next set from its outcome. An
-    infeasible x0 is projected once before iteration 0. A ``known_optimum``
-    of None falls back to the problem's; the error column stays empty when
-    neither is known.
+    infeasible x0 is projected once before iteration 0. The error column
+    measures the distance to the problem's ``known_optimum`` and stays empty
+    when the problem has none.
     """
-    if known_optimum is None:
-        known_optimum = getattr(problem, "known_optimum", None)
     x = project(cset, np.asarray(x0, dtype=float)).point
-    return _drive(problem, _expectation_step(problem, cset, cfg), cfg, x, known_optimum)
+    step = _expectation_step(problem, cset, cfg)
+    return _drive(problem, step, cfg, x, getattr(problem, "known_optimum", None))
 
 
 def sqp_directions(grads, grad_G, G_val: float, alpha: float) -> np.ndarray:

@@ -245,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="align two run logs by gradient evaluations")
     cmp_.add_argument("csv_a")
     cmp_.add_argument("csv_b")
-    cmp_.add_argument("--final-objective-rel-tol", type=float, default=None)
-    cmp_.add_argument("--final-objective-abs-tol", type=float, default=None)
     cmp_.add_argument(
         "--expect-b-error-smaller",
         action="store_true",
@@ -260,13 +258,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return run_experiment(resolve_config(args))
-        report = compare_runs(
-            args.csv_a,
-            args.csv_b,
-            final_objective_rel_tol=args.final_objective_rel_tol,
-            final_objective_abs_tol=args.final_objective_abs_tol,
-            expect_b_error_smaller=args.expect_b_error_smaller,
-        )
+        report = compare_runs(args.csv_a, args.csv_b, args.expect_b_error_smaller)
         sys.stdout.write(report.to_text())
         return 0 if report.passed else 1
     # a RuntimeWarning is raised only under python -W error, as by an

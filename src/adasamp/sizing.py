@@ -56,7 +56,8 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
     testing; an exactly zero one, which leaves rho undefined, is rejected,
     and so is a non-finite variance statistic or squared reduced-gradient
     norm, which would otherwise read as a failed test and grow the set to
-    the cap.
+    the cap; a squared norm that overflows raises that error without a
+    warning.
     """
     if stats.n < 2:
         raise ValueError("norm test needs at least two samples (variance undefined)")
@@ -66,7 +67,8 @@ def norm_test(stats: GradientStats, reduced_grad, cfg: TestConfig) -> TestOutcom
             f"{stats.n} samples: a sampled gradient or SQP direction is not finite or overflows"
         )
     reduced_grad = np.asarray(reduced_grad, dtype=float)
-    r_sq = float(reduced_grad @ reduced_grad)
+    with np.errstate(over="ignore"):
+        r_sq = float(reduced_grad @ reduced_grad)
     if not math.isfinite(r_sq):
         raise ValueError(
             f"norm test got a non-finite squared reduced-gradient norm ({r_sq}): "

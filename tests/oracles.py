@@ -10,8 +10,9 @@ empirical VaR and CVaR, one projected gradient step as the drivers take it,
 a Monte-Carlo check of the moments the sample-size theory controls, the
 setting of the worker count under which the parallel passes run, the
 keyed sample stream, the blocked product and the blocked moment kernel
-written out block by block, and the adaptive spgd run on the packaged
-problems written out as a plain loop over them.
+written out block by block, and the adaptive spgd, extended CVaR and
+nested-quantile runs on the packaged problems written out as plain loops
+over them.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adasamp import algorithms, model, records
+from adasamp import algorithms, model, records, risk
 from adasamp.geometry import (
     ConstraintSet,
     Halfspace,
@@ -199,38 +200,46 @@ def blocked_moments(rows):
     return mean, m2 + spread
 
 
-def reference_spgd(problem, cset, cfg, x0):
-    """``algorithms.run_spgd_adaptive`` on a packaged problem written out as
-    one plain loop with no ``Rows``, no pool and no read-ahead: (records,
-    status). Set k is the first n rows of ``keyed_rows`` of iteration k; the
-    gradients and values are numpy broadcasting in the library's order, with
-    the per-row products of ``blocked_product``; the statistics are
-    ``blocked_moments``; the projection is ``np.maximum`` on the basic
-    problem's orthant and ``project`` on the portfolio set; then come the
-    stationarity guard and the norm test's formula. Only the frozen
-    parameters are read from ``problem.params``."""
-    params, test = problem.params, cfg.test
+def _packaged(problem, cset):
+    """A packaged problem written out with numpy broadcasting in the
+    library's order, with the per-row products of ``blocked_product``:
+    (draw, grads, values, proj, optimum). ``proj`` is ``np.maximum`` on the
+    basic problem's orthant and ``project`` on the portfolio set. Only the
+    frozen parameters are read from ``problem.params``."""
+    params = problem.params
     if "a" in params:  # the basic problem: f = sum_l a_l (x_l - b_l xi_l)^2 on x >= 0
         a, b = params["a"], params["b"]
         draw = lambda g, rows: g.random((rows, a.size))
         grads = lambda x, xis: ((-b) * xis + x) * (2.0 * a)
         values = lambda x, xis: blocked_product(np.square((-b) * xis + x), a)
-        proj, optimum = (lambda y: np.maximum(y, 0.0)), np.maximum(0.0, b / 2.0)
-    else:  # the portfolio: f = -<xi, x> with xi = A + B u
-        A, B = params["A"], params["B"]
-        draw = lambda g, rows: blocked_product(g.standard_normal((rows, A.size)), B.T) + A
-        grads = lambda x, xis: -xis
-        values = lambda x, xis: blocked_product(xis, -x)
-        proj, optimum = (lambda y: project(cset, y).point), None
-    x, n = proj(np.asarray(x0, dtype=float)), cfg.initial_sample_size
+        return draw, grads, values, (lambda y: np.maximum(y, 0.0)), np.maximum(0.0, b / 2.0)
+    # the portfolio: f = -<xi, x> with xi = A + B u
+    A, B = params["A"], params["B"]
+    draw = lambda g, rows: blocked_product(g.standard_normal((rows, A.size)), B.T) + A
+    grads = lambda x, xis: -xis
+    values = lambda x, xis: blocked_product(xis, -x)
+    return draw, grads, values, (lambda y: project(cset, y).point), None
+
+
+def _reference_loop(cfg, x, draw, proj, iterate, optimum=None):
+    """The drivers' loop written out: (records, status). Set k is the first
+    n rows of ``keyed_rows`` of iteration k, and ``iterate(x, xis)`` gives
+    its rows, objective and t; the statistics are ``blocked_moments``; then
+    come the step-too-small rule (a nonzero mean whose step rounds to x),
+    the stationarity guard and the norm test's formula."""
+    test, n = cfg.test, cfg.initial_sample_size
     cum, out, status = 0, [], "completed"
     for k in range(cfg.max_iters):
         xis = keyed_rows(cfg.seed, k, n, draw)
-        mean, m2 = blocked_moments(grads(x, xis))
-        x_next = proj(x - cfg.alpha * mean)
+        rows, objective, t = iterate(x, xis)
+        mean, m2 = blocked_moments(rows)
+        point = x - cfg.alpha * mean
+        x_next = proj(point)
         reduced = (x - x_next) / cfg.alpha
         rho, next_n = None, n
-        if np.linalg.norm(reduced) <= algorithms.STATIONARITY_TOL * (1.0 + np.linalg.norm(x)):
+        if np.array_equal(point, x) and mean.any():
+            status = "step-too-small"
+        elif np.linalg.norm(reduced) <= algorithms.STATIONARITY_TOL * (1.0 + np.linalg.norm(x)):
             status = "stationary"
         elif test is not None:
             rho = m2 / ((n - 1) * n) / (test.theta**2 * float(reduced @ reduced))
@@ -238,11 +247,60 @@ def reference_spgd(problem, cset, cfg, x0):
                 next_n = math.ceil(min(rho * n, test.max_sample_size))
         cum += n
         err = None if optimum is None else float(np.linalg.norm(x - optimum))
-        out.append(records.RunRecord(k, n, cum, float(np.mean(values(x, xis))), err, rho))
+        out.append(records.RunRecord(k, n, cum, objective, err, rho, t))
         if status != "completed":
             break
         x, n = x_next, next_n
     return out, status
+
+
+def reference_spgd(problem, cset, cfg, x0):
+    """``algorithms.run_spgd_adaptive`` on a packaged problem written out as
+    one plain loop with no ``Rows``, no pool and no read-ahead: (records,
+    status), from ``_packaged`` and ``_reference_loop``."""
+    draw, grads, values, proj, optimum = _packaged(problem, cset)
+
+    def iterate(x, xis):
+        return grads(x, xis), float(np.mean(values(x, xis))), None
+
+    return _reference_loop(cfg, proj(np.asarray(x0, dtype=float)), draw, proj, iterate, optimum)
+
+
+def reference_extended(problem, cset, beta, epsilon, cfg, x0):
+    """``algorithms.run_cvar_extended`` on a packaged problem written out as
+    one plain loop over z = (x, t): (records, status). t0 is the mean of the
+    values at the projected x0 over the first s0 rows of iteration 0; the
+    rows are the explicit (n, d+1) array [s_i g_i, 1 - s_i] with s =
+    expit((f - t)/epsilon)/(1 - beta); the objective is the mean of t +
+    smooth_plus(f - t)/(1 - beta); t passes through the projection."""
+    draw, grads, values, proj, _ = _packaged(problem, cset)
+    x = proj(np.asarray(x0, dtype=float))
+    t0 = float(np.mean(values(x, keyed_rows(cfg.seed, 0, cfg.initial_sample_size, draw))))
+    proj_z = lambda z: np.append(proj(z[:-1]), z[-1])
+
+    def iterate(z, xis):
+        x, t = z[:-1], float(z[-1])
+        f = values(x, xis)
+        s = risk.expit((f - t) / epsilon) / (1.0 - beta)
+        rows = np.column_stack([s[:, None] * grads(x, xis), 1.0 - s])
+        return rows, float(np.mean(t + risk.smooth_plus(f - t, epsilon) / (1.0 - beta))), t
+
+    return _reference_loop(cfg, proj_z(np.append(x, t0)), draw, proj_z, iterate)
+
+
+def reference_nested(problem, cset, beta, epsilon, cfg, x0):
+    """``algorithms.run_nested_quantile`` on a packaged problem written out
+    as one plain loop: (records, status). Each set's t and objective are
+    ``risk.smoothed_cvar`` of its values f, and its rows are w_i g_i with
+    w = expit((f - t)/epsilon)."""
+    draw, grads, values, proj, _ = _packaged(problem, cset)
+
+    def iterate(x, xis):
+        f = values(x, xis)
+        t, objective = risk.smoothed_cvar(f, beta, epsilon)
+        return risk.expit((f - t) / epsilon)[:, None] * grads(x, xis), objective, t
+
+    return _reference_loop(cfg, proj(np.asarray(x0, dtype=float)), draw, proj, iterate)
 
 
 def full_space(dim):

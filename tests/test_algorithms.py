@@ -26,6 +26,8 @@ from oracles import (
     feasibility_residual,
     full_space,
     kkt_sqp_oracle,
+    reference_extended,
+    reference_nested,
     reference_spgd,
     rel_err,
     rowwise_problem,
@@ -170,14 +172,49 @@ class TestRunSpgdAdaptive:
                                   np.full(problem.dim, 0.01))
 
     def test_a_reduced_gradient_whose_norm_overflows_warns_nothing(self):
-        # at alpha ~ 1e-243 the stationarity guard's norm of the reduced
-        # gradient (x - x_next) / alpha overflowed with a RuntimeWarning
+        # at alpha ~ 1e-243 the step from the uniform start rounds to x; from
+        # a start with a zero weight that weight moves, and the stationarity
+        # guard's norm of the reduced gradient (x - x_next) / alpha overflowed
+        # with a RuntimeWarning
         problem, cset = make_portfolio(3)
         c = cfg(alpha=1.2173085604029835e-243, iters=1, s0=222, seed=3, test=None)
+        uniform = np.full(100, 0.01)
+        zero_weight = uniform.copy()
+        zero_weight[0], zero_weight[1] = 0.0, 0.02
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = run_spgd_adaptive(problem, cset, c, np.full(100, 0.01))
-        assert len(res.records) == 1 and res.status == "completed"
+            runs = [run_spgd_adaptive(problem, cset, c, x0) for x0 in (uniform, zero_weight)]
+        assert [(len(r.records), r.status) for r in runs] == [(1, "step-too-small"), (1, "completed")]
+
+    def test_a_squared_reduced_gradient_that_overflows_is_the_named_error(self):
+        # the zero-weight start above, tested: ||R||^2 overflowed in the norm
+        # test with a RuntimeWarning before its own error
+        problem, cset = make_portfolio(3)
+        c = cfg(alpha=1.2173085604029835e-243, iters=1, s0=222, seed=3, theta=1.0)
+        x0 = np.full(100, 0.01)
+        x0[0], x0[1] = 0.0, 0.02
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite squared reduced-gradient norm"):
+                run_spgd_adaptive(problem, cset, c, x0)
+
+    @pytest.mark.parametrize("driver", ["spgd", "spgd-fixed", "cvar-extended", "cvar-nested"])
+    def test_a_step_below_the_rounding_of_x_ends_step_too_small(self, driver):
+        # at alpha = 1e-20 the step x - alpha * mean gradient rounds to x:
+        # the reduced gradient was exactly 0 (a false "stationary") or
+        # Dykstra's rounding over alpha (rho ~ 5e-7, a false passed test)
+        problem, cset = make_portfolio(0)
+        c = cfg(alpha=1e-20, iters=3, theta=1.5)
+        x0 = np.full(100, 0.01)
+        if driver == "spgd-fixed":
+            c = dataclasses.replace(c, test=None)
+        if driver.startswith("cvar"):
+            run = run_cvar_extended if driver == "cvar-extended" else run_nested_quantile
+            res = run(problem, cset, 0.9, 0.1, c, x0)
+        else:
+            res = run_spgd_adaptive(problem, cset, c, x0)
+        assert res.status == "step-too-small"
+        assert len(res.records) == 1 and res.records[0].rho is None
 
     def test_stationary_stop_on_constant_objective(self):
         problem = quadratic_deterministic(np.zeros(3))
@@ -225,6 +262,61 @@ class TestReferenceSpgd:
         assert res.status == status
         sizes = [r.sample_size for r in res.records]
         assert sizes[-1] == 6000
+        # a set read ahead at two workers is taken and grown by the next draw
+        assert any(2048 <= n < 4096 and m > n for n, m in zip(sizes, sizes[1:]))
+
+    @pytest.mark.parametrize(
+        "make, start, alpha",
+        [(make_basic_example, 1.0, 1e-20), (make_basic_example, 1.0, 1e-17),
+         (make_portfolio, 0.01, 1e-20)],
+    )
+    def test_a_step_below_the_rounding_of_x(self, make, start, alpha):
+        # at 1e-17 the basic run takes one step before x - alpha * mean rounds to x
+        problem, cset = make(0)
+        c = cfg(alpha=alpha, iters=5, theta=1.5)
+        x0 = np.full(problem.dim, start)
+        res = run_spgd_adaptive(problem, cset, c, x0)
+        want, status = reference_spgd(problem, cset, c, x0)
+        assert [dataclasses.replace(r, wall_time_ms=0.0) for r in res.records] == want
+        assert res.status == status == "step-too-small"
+
+
+class TestReferenceCvar:
+    """``run_cvar_extended`` and ``run_nested_quantile`` against
+    ``oracles.reference_extended`` and ``oracles.reference_nested``, the
+    same runs written out as plain loops over explicit row arrays. The sets
+    cross a keyed block (2048 rows) and the split size of ``set_workers``
+    (4096 rows), so at two workers the runs also split their passes and read
+    ahead."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "driver, reference, make, alpha, theta, iters, start",
+        [
+            (run_cvar_extended, reference_extended, make_basic_example, 0.005, 0.018, 4, 1.0),
+            (run_cvar_extended, reference_extended, make_portfolio, 0.02, 0.3, 14, 0.01),
+            (run_nested_quantile, reference_nested, make_basic_example, 0.2, 0.05, 18, 1.0),
+            (run_nested_quantile, reference_nested, make_portfolio, 0.2, 0.3, 10, 0.01),
+        ],
+        ids=["extended-basic", "extended-portfolio", "nested-basic", "nested-portfolio"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_records_and_status_of_the_plain_loop(
+        self, monkeypatch, tmp_path, workers, driver, reference, make, alpha, theta, iters, start,
+        seed,
+    ):
+        problem, cset = make(seed)
+        c = cfg(alpha=alpha, iters=iters, theta=theta, seed=seed, test_kw={"max_sample_size": 6000})
+        x0 = np.full(problem.dim, start)
+        set_workers(monkeypatch, workers)
+        res = driver(problem, cset, 0.9, 0.1, c, x0)
+        want, status = reference(problem, cset, 0.9, 0.1, c, x0)
+        write_csv(res.records, tmp_path / "run.csv")
+        write_csv(want, tmp_path / "reference.csv")
+        assert csv_body(tmp_path / "run.csv") == csv_body(tmp_path / "reference.csv")
+        assert res.status == status
+        sizes = [r.sample_size for r in res.records]
+        assert max(sizes) > 4096
         # a set read ahead at two workers is taken and grown by the next draw
         assert any(2048 <= n < 4096 and m > n for n, m in zip(sizes, sizes[1:]))
 

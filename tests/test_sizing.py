@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,12 @@ class TestNormTest:
             ValueError, match="non-finite squared reduced-gradient norm"
         ):
             norm_test(stats(1.0), np.array([1.0, bad, 0.0]), CFG)
+
+    def test_a_squared_norm_that_overflows_is_the_named_error_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"reduced-gradient norm \(inf\)"):
+                norm_test(stats(1.0, dim=2), np.array([1e200, 1e200]), CFG)
 
 
 class TestSqpNormTest:
