@@ -67,7 +67,7 @@ class OptimizerConfig:
     column stays empty).
     Stopping: always after ``max_iters``; early on stationarity (reduced
     gradient norm at most STATIONARITY_TOL * (1 + ||x||)) or on a projected
-    step that rounds to x (``_projected_step``).
+    or SQP step that rounds to x (``_projected_step``, ``run_sqp_adaptive``).
     """
 
     alpha: float
@@ -314,7 +314,8 @@ def run_sqp_adaptive(
     their directions appended, and the step recomputed. Only once the test
     passes does the iterate advance. If the sample cap is reached while the
     test still fails, the run terminates with status
-    "sample-budget-exhausted".
+    "sample-budget-exhausted". A nonzero mean direction whose step x + mean
+    direction rounds to x itself ends the run as "step-too-small", untested.
     """
 
     def step(x, sample_set, k):
@@ -335,6 +336,9 @@ def run_sqp_adaptive(
             # steps' scale (rho is the same on either); tripped after a round,
             # it keeps the last test's rho
             s.x_next, s.reduced_grad, s.n = x + d_mean, -d_mean / cfg.alpha, stats.n
+            if np.array_equal(s.x_next, x) and d_mean.any():
+                s.status = STATUS_STEP_TOO_SMALL  # untested, as in _projected_step
+                break
             outcome = _tested(s, x, stats, d_mean, cfg)
             if outcome is None or outcome.passed:
                 break

@@ -28,6 +28,7 @@ from .algorithms import (
     run_spgd_adaptive,
     run_sqp_adaptive,
 )
+from .geometry import ProjectionError
 from .model import STREAM_VERSION
 from .problems import BasicExample, PortfolioProblem
 from .records import compare_runs, write_csv
@@ -262,8 +263,9 @@ def main(argv=None) -> int:
         sys.stdout.write(report.to_text())
         return 0 if report.passed else 1
     # a RuntimeWarning is raised only under python -W error, as by an
-    # overflow in a step too large for float64
-    except (ValueError, OSError, RuntimeWarning) as exc:
+    # overflow in a step too large for float64; a projection that does not
+    # converge ends the run as an error too
+    except (ValueError, OSError, RuntimeWarning, ProjectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

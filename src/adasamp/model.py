@@ -50,8 +50,9 @@ STREAM_PARAMS = 1
 # The layout of the sample rows, recorded in every run's metadata:
 # 2 = keyed SFC64 blocks of _STREAM_BLOCK_ROWS rows.
 STREAM_VERSION = 2
-# Rows per keyed block of the sample stream and per block of ``_moments``,
-# a multiple of _BLOCK_ROWS. Keying a block costs about 21 us.
+# Rows per keyed block of the sample stream and per unit of work of every
+# row pass (``_start``), a multiple of _BLOCK_ROWS. Keying a block costs
+# about 21 us.
 _STREAM_BLOCK_ROWS = 2048
 
 # Rows per BLAS call of the per-row products (``_blocked_matmul``).
@@ -60,11 +61,8 @@ _SLAB_ROWS = 128  # rows per slab of a tiled row-vector broadcast (``_rowwise``)
 
 # Row passes over fewer rows run on the calling thread (``_split``). Split
 # passes on two CPUs made the extended portfolio iteration at 10^4 rows up
-# to 10% slower: waking the pool and handing chunks over cost more.
+# to 10% slower: waking the pool and handing blocks over cost more.
 _PARALLEL_MIN_ROWS = 32768
-# Rows per chunk of an ``_in_parallel`` pass. A multiple of _STREAM_BLOCK_ROWS:
-# ``_moments`` indexes the blocks of a chunk as lo // _STREAM_BLOCK_ROWS.
-_CHUNK_ROWS = 8192
 
 
 def stream_rng(base_seed: int, *stream: int) -> np.random.Generator:
@@ -173,7 +171,8 @@ def fill_rows(
     sequence. The last block is truncated, so ``fill`` must write the same
     leading rows into a shorter ``out``: one vectorized draw into ``out``,
     then row-wise numpy work. A block that starts before ``stream.start`` is
-    drawn from its first row and its head dropped. A draw that ``_split``
+    drawn from its first row and its head dropped. The draw queues its
+    blocks as every row pass does (``_start``), and one that ``_split``
     splits fills blocks on the pool too, so ``fill`` must be numpy work on
     ``out`` only. In ``_reading_ahead`` on two or more CPUs, a call from row
     0 for a block or more that ``_split`` keeps on this thread then draws
@@ -204,14 +203,12 @@ def _draw(stream: Stream, n: int, d: int, fill, workers: int):
     first = stream.start - stream.start % _STREAM_BLOCK_ROWS
     out = np.empty((stream.start + n - first, d))
 
-    def chunk(rows):
-        for lo in range(rows.start, rows.stop, _STREAM_BLOCK_ROWS):
-            key = (STREAM_SAMPLES, stream.iteration, (first + lo) // _STREAM_BLOCK_ROWS)
-            seq = np.random.SeedSequence(entropy=stream.seed, spawn_key=key)
-            block = out[lo : min(lo + _STREAM_BLOCK_ROWS, rows.stop)]
-            fill(np.random.Generator(np.random.SFC64(seq)), block)
+    def block(rows):
+        key = (STREAM_SAMPLES, stream.iteration, (first + rows.start) // _STREAM_BLOCK_ROWS)
+        seq = np.random.SeedSequence(entropy=stream.seed, spawn_key=key)
+        fill(np.random.Generator(np.random.SFC64(seq)), out[rows])
 
-    return out[stream.start - first :], _start(chunk, len(out), _STREAM_BLOCK_ROWS, workers)
+    return out[stream.start - first :], _start(block, len(out), workers)
 
 
 def _blocked_matmul(m: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -239,11 +236,6 @@ def _blocked_matmul(m: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _tile(v: np.ndarray) -> np.ndarray:
-    """The row vector v repeated for the ``_SLAB_ROWS`` rows of one slab."""
-    return np.tile(v, (_SLAB_ROWS, 1))
-
-
 def _rowwise(op, rows: np.ndarray, tile: np.ndarray, out: np.ndarray) -> None:
     """out[:] = op(rows, v) for the row vector v that ``tile`` repeats;
     ``out`` may be ``rows`` or a column slice of a wider array. Each slab of
@@ -269,7 +261,7 @@ _pool_lock = threading.Lock()
 
 
 def _executor():
-    """The row-chunk thread pool, made on first use in each process: a forked
+    """The row-block thread pool, made on first use in each process: a forked
     child inherits its parent's (pid, pool) but none of the pool's threads."""
     global _pool
     with _pool_lock:
@@ -288,29 +280,31 @@ def _split(n: int) -> int:
 
 
 def _in_parallel(fn: Callable[[slice], None], n: int) -> None:
-    """Call ``fn(rows)`` on the ``_CHUNK_ROWS``-row chunks of rows 0..n-1,
-    the last one truncated: the same chunks at any thread count, each made
-    of the pass's own blocks, with small scratch at any n. The threads of
-    ``_split(n)`` take chunks in turn until none is left, so a CPU that
-    another process or a read-ahead slows takes fewer; on one, the calling
-    thread takes them all in order. ``fn`` runs on pool threads, so it may
-    only do numpy work on rows it owns: in particular it must not call a
-    problem's evaluators or any traced ``adasamp`` function.
+    """Call ``fn(rows)`` on the keyed blocks of rows 0..n-1 (``_start``):
+    the same blocks at any thread count, with small scratch at any n. The
+    threads of ``_split(n)`` take blocks in turn until none is left, so a
+    CPU that another process or a read-ahead slows takes fewer; on one, the
+    calling thread takes them all in order. ``fn`` runs on pool threads, so
+    it may only do numpy work on rows it owns: in particular it must not
+    call a problem's evaluators or any traced ``adasamp`` function.
     """
-    _join(_start(fn, n, _CHUNK_ROWS, _split(n)))
+    _join(_start(fn, n, _split(n)))
 
 
-def _start(fn, n: int, step: int, workers: int):
-    """Queue ``fn`` on rows 0..n-1 by ``step`` and submit a drain of the
-    queue per worker past the first: the handle (queue, futures) of ``_join``."""
-    chunks = deque([(fn, slice(lo, min(lo + step, n))) for lo in range(0, n, step)])
-    return chunks, [_executor().submit(_drain, chunks) for _ in range(workers - 1)]
+def _start(fn, n: int, workers: int):
+    """Queue ``fn`` on the ``_STREAM_BLOCK_ROWS``-row blocks of rows 0..n-1,
+    the last one truncated, the one unit of work of every row pass, and
+    submit a drain of the queue per worker past the first: the handle
+    (queue, futures) of ``_join``."""
+    step = _STREAM_BLOCK_ROWS
+    blocks = deque([(fn, slice(lo, min(lo + step, n))) for lo in range(0, n, step)])
+    return blocks, [_executor().submit(_drain, blocks) for _ in range(workers - 1)]
 
 
-def _drain(chunks: deque) -> None:
+def _drain(blocks: deque) -> None:
     while True:
         try:
-            fn, rows = chunks.popleft()  # thread-safe
+            fn, rows = blocks.popleft()  # thread-safe
         except IndexError:
             return
         fn(rows)
@@ -318,13 +312,13 @@ def _drain(chunks: deque) -> None:
 
 def _join(handle, cancel: bool = False) -> None:
     """Drain the queue here (or drop it), cancel the drains not started, wait
-    for the running ones, so that no chunk writes rows after the call, and
+    for the running ones, so that no block writes rows after the call, and
     raise the first error unless cancelled."""
-    chunks, futures = handle
+    blocks, futures = handle
     if cancel:
-        chunks.clear()
+        blocks.clear()
     try:
-        _drain(chunks)
+        _drain(blocks)
     finally:  # waiting on a queued drain, even cancelled, lasts until a thread dequeues it
         for future in [future for future in futures if not future.cancel()]:
             future.exception()  # returns once the drain has ended
@@ -343,7 +337,7 @@ _local = _Local()  # per thread, as each thread runs its own drivers
 @contextmanager
 def _reading_ahead():
     """Let ``fill_rows`` read ahead; on exit, drop a read-ahead that this
-    process started and wait for its chunks."""
+    process started and wait for its blocks."""
     outer, _local.ahead = _local.ahead, ()
     try:
         yield
@@ -376,10 +370,11 @@ def sample_objective(problem, x, sample_set: SampleSet) -> float:
 class Rows:
     """Per-sample rows, shape (n,) or (n, d), that ``write(part, out)``
     writes into ``out`` and returns, by numpy work on ``out`` only, so on
-    any thread. ``model`` alone picks the parts: at most ``_CHUNK_ROWS``
-    rows from a multiple of ``_STREAM_BLOCK_ROWS`` on. ``np.asarray`` forms
-    every row under ``_in_parallel``, and ``gradient_stats`` folds them into
-    its moments without the (n, d) array."""
+    any thread. ``model`` alone picks the parts: one keyed block of
+    ``_in_parallel``, at most ``_STREAM_BLOCK_ROWS`` rows from a multiple of
+    it on. ``np.asarray`` forms every row under ``_in_parallel``, and
+    ``gradient_stats`` folds them into its moments without the (n, d)
+    array."""
 
     def __init__(self, shape, write):
         self.shape = tuple(shape)
@@ -419,15 +414,15 @@ def _moments(rows):
     sum_i ||rows_i - c||^2 about the rows' mean c; M2 is exactly 0.0 when
     n >= 2 and all rows are equal. ``rows`` is only read.
 
-    Block b of ``_STREAM_BLOCK_ROWS`` rows forms its column sum s_b and its
-    M2_b about its own mean c_b = s_b / n_b in a scratch buffer of its
-    ``_in_parallel`` chunk. A ``Rows`` is written into the buffer a block per
-    call, so the calls and bits are those of the array and the block is
-    still in cache when it is read (whole-chunk writes of the extended
-    portfolio's 101 columns made its statistics up to 1.16x slower on a
-    2 MiB L2). The calling thread merges the blocks in block order (Chan,
-    Golub and LeVeque 1979): the mean is sum_b s_b / n and M2 = sum_b M2_b
-    + sum_b n_b ||c_b - c||^2. So the bits do not depend on the CPU count,
+    Each keyed block b of ``_in_parallel`` forms its column sum s_b and its
+    M2_b about its own mean c_b = s_b / n_b in a scratch buffer. A ``Rows``
+    is written into the buffer in one call, so the calls and bits are those
+    of the array and the block is still in cache when it is read (writes of
+    four blocks at once made the extended portfolio's statistics up to
+    1.16x slower on a 2 MiB L2). The calling thread merges the blocks in
+    block order (Chan, Golub and LeVeque 1979): the mean is sum_b s_b / n
+    and M2 = sum_b M2_b + sum_b n_b ||c_b - c||^2. So the bits do not
+    depend on the CPU count,
     and one block of two or more columns gives the two-pass bits:
     ``mean(axis=0)`` and one ``einsum`` over the deviations. Overflowed or
     non-finite rows give a non-finite M2 without a warning.
@@ -445,22 +440,18 @@ def _moments(rows):
     # are compared with row 0 only when rows 0 and 1 are equal
     check = n >= 2 and bool(np.all(head[1] == head[0]))
 
-    def chunk(part):
-        buf = np.empty((min(part.stop - part.start, _STREAM_BLOCK_ROWS), d))
-        tile = np.empty((_SLAB_ROWS, d))
+    def fold(part):
+        b = part.start // _STREAM_BLOCK_ROWS
+        dev, tile = np.empty((part.stop - part.start, d)), np.empty((_SLAB_ROWS, d))
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(part.start, part.stop, _STREAM_BLOCK_ROWS):
-                b = lo // _STREAM_BLOCK_ROWS
-                hi = min(lo + _STREAM_BLOCK_ROWS, part.stop)
-                dev = buf[: hi - lo]
-                block = rows.write(slice(lo, hi), dev) if written else rows[lo:hi]
-                np.einsum("ij->j", block, out=sums[b])
-                same[b] = check and np.all(block == head[0])
-                centers[b] = tile[:] = sums[b] / (hi - lo)
-                _rowwise(np.subtract, block, tile, dev)
-                m2[b] = np.einsum("ij,ij->", dev, dev)
+            block = rows.write(part, dev) if written else rows[part]
+            np.einsum("ij->j", block, out=sums[b])
+            same[b] = check and np.all(block == head[0])
+            centers[b] = tile[:] = sums[b] / len(dev)
+            _rowwise(np.subtract, block, tile, dev)
+            m2[b] = np.einsum("ij,ij->", dev, dev)
 
-    _in_parallel(chunk, n)
+    _in_parallel(fold, n)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.add.reduce(sums, axis=0) / n
         if check and same.all():

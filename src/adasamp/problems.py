@@ -23,9 +23,8 @@ from .model import (
     STREAM_PARAMS,
     Rows,
     StochasticProblem,
+    _STREAM_BLOCK_ROWS,
     _blocked_matmul,
-    _rowwise,
-    _tile,
     fill_rows,
     stream_rng,
 )
@@ -76,18 +75,21 @@ class BasicExample:
 
     def build(self) -> Tuple[StochasticProblem, ConstraintSet]:
         a, b = self.a, self.b
-        # x - b*xi is formed as (-b)*xi + x, the same bits, over tiled rows
-        neg_b_tile, two_a_tile = _tile(-b), _tile(2.0 * a)
+        # x - b*xi is formed as (-b)*xi + x, the same bits. A write gets one
+        # keyed block, so each row vector is tiled to a block's height and
+        # meets the block's rows as one contiguous operand
+        block = (_STREAM_BLOCK_ROWS, 1)
+        neg_b, two_a = np.tile(-b, block), np.tile(2.0 * a, block)
 
         def value_many(x, xis):
             # (x - b*xi)^2 @ a: the elementwise part in a scratch array of
-            # the part's rows, the matmul per block
-            x_tile = _tile(x)
+            # the block's rows, the matmul per block
+            x_rows = np.tile(x, block)
 
             def write(part, out):
-                r = np.empty((out.shape[0], BASIC_DIM))
-                _rowwise(np.multiply, xis[part], neg_b_tile, r)
-                _rowwise(np.add, r, x_tile, r)
+                m = out.shape[0]
+                r = np.multiply(xis[part], neg_b[:m])
+                np.add(r, x_rows[:m], out=r)
                 np.square(r, out=r)
                 return _blocked_matmul(r, a, out)
 
@@ -95,13 +97,13 @@ class BasicExample:
 
         def grad_many(x, xis):
             # 2a*(x - b*xi), formed in the rows model asks for
-            x_tile = _tile(x)
+            x_rows = np.tile(x, block)
 
             def write(part, out):
-                _rowwise(np.multiply, xis[part], neg_b_tile, out)
-                _rowwise(np.add, out, x_tile, out)
-                _rowwise(np.multiply, out, two_a_tile, out)
-                return out
+                m = out.shape[0]
+                np.multiply(xis[part], neg_b[:m], out=out)
+                np.add(out, x_rows[:m], out=out)
+                return np.multiply(out, two_a[:m], out=out)
 
             return Rows(xis.shape, write)
 

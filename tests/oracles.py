@@ -10,9 +10,9 @@ empirical VaR and CVaR, one projected gradient step as the drivers take it,
 a Monte-Carlo check of the moments the sample-size theory controls, the
 setting of the worker count under which the parallel passes run, the
 keyed sample stream, the blocked product and the blocked moment kernel
-written out block by block, and the adaptive spgd, extended CVaR and
-nested-quantile runs on the packaged problems written out as plain loops
-over them.
+written out block by block, and the adaptive spgd, extended CVaR,
+nested-quantile and SQP runs on the packaged problems written out as plain
+loops over them.
 """
 
 import itertools
@@ -127,11 +127,10 @@ def spgd_step(problem, cset, x, sample_set, alpha):
 
 def set_workers(monkeypatch, workers):
     """Run the row passes as on ``workers`` CPUs. Passes split from 4096 rows
-    on, in chunks of one 2048-row block, so that small sizes cover the split
-    and a pass of 4096 rows or more runs on two or more chunks."""
+    on, so that small sizes cover the split: a pass of 4096 rows or more
+    runs on two or more of its 2048-row blocks, as every pass does."""
     monkeypatch.setattr(model, "_workers", lambda: workers)
     monkeypatch.setattr(model, "_PARALLEL_MIN_ROWS", 4096)
-    monkeypatch.setattr(model, "_CHUNK_ROWS", model._STREAM_BLOCK_ROWS)
 
 
 def counting_drains(monkeypatch):
@@ -301,6 +300,51 @@ def reference_nested(problem, cset, beta, epsilon, cfg, x0):
         return risk.expit((f - t) / epsilon)[:, None] * grads(x, xis), objective, t
 
     return _reference_loop(cfg, proj(np.asarray(x0, dtype=float)), draw, proj, iterate)
+
+
+def reference_sqp(problem, cfg, x0, known_optimum=None):
+    """``algorithms.run_sqp_adaptive`` on a packaged problem under the CLI's
+    unit-sphere constraint G(x) = ||x||^2 - 1, written out as one plain
+    loop: (records, status). Set k is the first n rows of ``keyed_rows`` of
+    iteration k, and row i's direction is d_i = -alpha (g_i + lambda_i
+    grad_G) with lambda_i = (G - alpha <g_i, grad_G>) / (alpha ||grad_G||^2),
+    the products from ``blocked_product``; the statistics are
+    ``blocked_moments``; then come the step-too-small rule on x + mean, the
+    stationarity guard on -mean / alpha and the norm test's formula with
+    the mean. A failed test takes the first ceil(min(rho n, cap)) rows of
+    the same iteration, until the test passes or the set is at the cap. The
+    objective is the mean value over the final set."""
+    draw, grads, values, _, _ = _packaged(problem, None)
+    test, n, x, alpha = cfg.test, cfg.initial_sample_size, np.asarray(x0, dtype=float), cfg.alpha
+    cum, out, status = 0, [], "completed"
+    for k in range(cfg.max_iters):
+        G, grad_G, rho = float(x @ x) - 1.0, 2.0 * x, None
+        while True:
+            xis = keyed_rows(cfg.seed, k, n, draw)
+            g = grads(x, xis)
+            lams = (G - alpha * blocked_product(g, grad_G)) / (alpha * float(grad_G @ grad_G))
+            mean, m2 = blocked_moments((g + lams[:, None] * grad_G) * -alpha)
+            tol = algorithms.STATIONARITY_TOL * (1.0 + np.linalg.norm(x))
+            if np.array_equal(x + mean, x) and mean.any():
+                status = "step-too-small"
+            elif np.linalg.norm(-mean / alpha) <= tol:
+                status = "stationary"
+            elif test is not None:
+                rho = m2 / ((n - 1) * n) / (test.theta**2 * float(mean @ mean))
+                if rho > 1.0:
+                    grown = math.ceil(min(rho * n, test.max_sample_size))
+                    if grown > n:
+                        n = grown
+                        continue
+                    status = "sample-budget-exhausted"
+            break
+        cum += n
+        err = None if known_optimum is None else float(np.linalg.norm(x - known_optimum))
+        out.append(records.RunRecord(k, n, cum, float(np.mean(values(x, xis))), err, rho, None))
+        if status != "completed":
+            break
+        x = x + mean
+    return out, status
 
 
 def full_space(dim):

@@ -29,6 +29,7 @@ from oracles import (
     reference_extended,
     reference_nested,
     reference_spgd,
+    reference_sqp,
     rel_err,
     rowwise_problem,
     set_workers,
@@ -319,6 +320,67 @@ class TestReferenceCvar:
         assert max(sizes) > 4096
         # a set read ahead at two workers is taken and grown by the next draw
         assert any(2048 <= n < 4096 and m > n for n, m in zip(sizes, sizes[1:]))
+
+
+def cli_sqp(make, seed):
+    """(problem, sphere constraint, x0, known optimum) as the CLI's sqp mode
+    builds them for a packaged problem."""
+    problem, _ = make(seed)
+    sphere = EqualityConstraint(
+        value=lambda x: float(x @ x) - 1.0, grad=lambda x: 2.0 * np.asarray(x, dtype=float)
+    )
+    known = None
+    if "A" in problem.params:
+        known = problem.params["A"] / np.linalg.norm(problem.params["A"])
+    return problem, sphere, np.ones(problem.dim) / np.sqrt(problem.dim), known
+
+
+class TestReferenceSqp:
+    """``run_sqp_adaptive`` against ``oracles.reference_sqp``, the same run
+    written out as a plain loop over explicit direction arrays. The sets
+    cross a keyed block (2048 rows) and the split size of ``set_workers``
+    (4096 rows), drawn whole and by augmentation, so at two workers the
+    direction pass is split and the stream read ahead."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "make, alpha, theta, iters",
+        [(make_basic_example, 0.2, 0.2, 6), (make_portfolio, 0.05, 0.45, 7)],
+        ids=["basic", "portfolio"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_records_and_status_of_the_plain_loop(
+        self, monkeypatch, tmp_path, workers, make, alpha, theta, iters, seed
+    ):
+        problem, sphere, x0, known = cli_sqp(make, seed)
+        c = cfg(alpha=alpha, iters=iters, theta=theta, seed=seed, test_kw={"max_sample_size": 8000})
+        set_workers(monkeypatch, workers)
+        res = run_sqp_adaptive(problem, sphere, c, x0, known_optimum=known)
+        want, status = reference_sqp(problem, c, x0, known)
+        write_csv(res.records, tmp_path / "run.csv")
+        write_csv(want, tmp_path / "reference.csv")
+        assert csv_body(tmp_path / "run.csv") == csv_body(tmp_path / "reference.csv")
+        assert res.status == status
+        sizes = [r.sample_size for r in res.records]
+        assert max(sizes) > 4096
+        assert sum(res.extras["augment_rounds"]) > 0
+
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-20])
+    def test_a_step_below_the_rounding_of_x(self, alpha):
+        # x + mean direction rounds to x: at 1e-200 the norm test squared the
+        # mean direction to 0.0 and raised, at 1e-20 the run completed with
+        # x never moved
+        problem, sphere, x0, known = cli_sqp(make_basic_example, 0)
+        c = cfg(alpha=alpha, iters=5, theta=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_sqp_adaptive(problem, sphere, c, x0, known_optimum=known)
+        assert res.status == "step-too-small"
+        assert len(res.records) == 1 and res.records[0].rho is None
+        assert np.array_equal(res.state.x, x0)
+        want, status = reference_sqp(problem, c, x0, known)
+        assert [dataclasses.replace(r, wall_time_ms=0.0) for r in res.records] == want
+        assert status == "step-too-small"
 
 
 class TestSqpDirection:

@@ -1,5 +1,5 @@
 """The library needs numpy only: every CLI algorithm and ``compare`` run with
-scipy blocked, and none of them loads it. The row-chunk thread pool is made
+scipy blocked, and none of them loads it. The row-block thread pool is made
 on first use, so importing the CLI must not load ``concurrent.futures``."""
 
 import json

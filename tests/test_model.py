@@ -577,7 +577,6 @@ class TestRowParallelPasses:
         from concurrent.futures import ThreadPoolExecutor
 
         set_workers(monkeypatch, 4)
-        monkeypatch.setattr(model, "_CHUNK_ROWS", 512)
         pool = ThreadPoolExecutor(3)
         monkeypatch.setattr(model, "_pool", (os.getpid(), pool))
         lock = threading.Lock()
@@ -599,7 +598,7 @@ class TestRowParallelPasses:
 
         try:
             with pytest.raises(ArithmeticError, match="chunk failed"):
-                model._in_parallel(chunk, 20 * 512)
+                model._in_parallel(chunk, 20 * BLOCK)
             with lock:
                 at_return = (sorted(started), sorted(finished))
             threading.Event().wait(0.1)
@@ -616,7 +615,6 @@ class TestRowParallelPasses:
         from concurrent.futures import ThreadPoolExecutor
 
         set_workers(monkeypatch, 2)
-        monkeypatch.setattr(model, "_CHUNK_ROWS", 512)
         pool = ThreadPoolExecutor(1)
         monkeypatch.setattr(model, "_pool", (os.getpid(), pool))
         submit, submitted = pool.submit, []
@@ -634,7 +632,7 @@ class TestRowParallelPasses:
 
         try:
             busy = submit(threading.Event().wait, 0.5)
-            model._in_parallel(chunk, 20 * 512)
+            model._in_parallel(chunk, 20 * BLOCK)
             returned = time.perf_counter()
             assert not busy.done()
         finally:
@@ -853,8 +851,9 @@ MOMENT_SIZES = (2, 2047, 2048, 2049, 4097, 200001)
 
 
 class TestMoments:
-    """The blocked moment kernel ``model._moments`` and the tiled
-    row-vector broadcast ``model._rowwise``."""
+    """The blocked moment kernel ``model._moments``, its tiled row-vector
+    broadcast ``model._rowwise``, and the block-height tiles of the basic
+    problem's writes."""
 
     @pytest.fixture(scope="class")
     def rows(self):
@@ -898,23 +897,34 @@ class TestMoments:
         assert model._moments(ints)[1] == model._moments(ints.astype(float))[1]
         assert np.array_equal(ints, np.arange(n * 3).reshape(n, 3) % 7)
 
-    @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 640, 1000])
+    @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 640, 1000, BLOCK - 1, BLOCK])
     def test_tiled_broadcast_gives_the_plain_broadcast_bits(self, n):
-        # n % 128 == 0 has no remainder slab; the other sizes have one
+        # the moment kernel's 128-row slabs (n % 128 == 0 has no remainder
+        # slab; the other sizes have one), and the basic writes' tiles of
+        # one block's height sliced to a part of one block or less
         assert model._SLAB_ROWS == 128
         rng = np.random.default_rng(n)
         m, v = rng.normal(size=(n, 20)), rng.normal(size=20)
+
+        def tiles(w):
+            return np.tile(w, (model._SLAB_ROWS, 1)), np.tile(w, (BLOCK, 1))[:n]
+
+        slab, tall = tiles(v)
         for op in (np.add, np.subtract, np.multiply):
             out = np.empty_like(m)
-            model._rowwise(op, m, model._tile(v), out)
+            model._rowwise(op, m, slab, out)
             assert np.array_equal(out, op(m, v))
-        work = m.copy()  # in place, as the basic passes run it
-        model._rowwise(np.add, work, model._tile(v), work)
+            assert np.array_equal(op(m, tall, out=out), op(m, v))
+        work = m.copy()  # in place, as the moment kernel runs it
+        model._rowwise(np.add, work, slab, work)
         assert np.array_equal(work, m + v)
-        # the basic passes form x - b*xi as (-b)*xi + x
-        model._rowwise(np.multiply, m, model._tile(-v), work)
-        model._rowwise(np.add, work, model._tile(m[0]), work)
+        # the basic writes form x - b*xi as (-b)*xi + x, in place
+        (_, neg), (_, x) = tiles(-v), tiles(m[0])
+        np.multiply(m, neg, out=work)
+        np.add(work, x, out=work)
         assert np.array_equal(work, m[0] - v * m)
+        np.multiply(work, tall, out=work)
+        assert np.array_equal(work, (m[0] - v * m) * v)
 
 
 # row counts around the 2048-row blocks of the fold, up to 32 blocks and a

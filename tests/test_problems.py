@@ -237,7 +237,7 @@ class TestPortfolio:
 
 
 # sizes on both sides of the 128-row blocks of the per-row products and of
-# the 2048-row keyed blocks; 4097 and 20003 split into chunks from two
+# the 2048-row keyed blocks; 4097 and 20003 split their blocks across two
 # workers on
 ROW_LOCAL_SIZES = (1, 2, 127, 128, 129, 255, 257, 511, 513, 2049, 4097, 20003)
 
@@ -275,7 +275,7 @@ class TestRowLocalProducts:
         self.assert_row_local(monkeypatch, lambda n: sqp_directions(grads[:n], grad_G, 0.25, 0.025))
 
 
-# the edges of the moment kernel's 8192-row chunks of ``Rows`` (four blocks)
+# sizes around four keyed blocks of ``Rows`` (8192 rows) and eight blocks and a row
 FOLD_EDGES = (8191, 8192, 8193, 16385)
 
 

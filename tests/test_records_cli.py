@@ -1,11 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adasamp.cli import (
     ALGORITHMS,
@@ -373,9 +379,12 @@ class TestCommandLine:
             # 1e-322 * ||R||^2 underflows from the first iteration on
             (["--algorithm", "spgd", "--theta", "1e-161", "--max-sample-size", "1000",
               "--max-iters", "300"], [10] + [1000] * 299, "completed"),
-            (["--algorithm", "sqp", "--alpha", "2.5317685913286994e-113",
-              "--theta", "1.1156778113415024e-137", "--s0", "20", "--max-sample-size", "601",
-              "--max-iters", "2", "--seed", "1"], [601], "sample-budget-exhausted"),
+            # an SQP step that moves x: at alpha = 2.5317685913286994e-113 and
+            # theta = 1.1156778113415024e-137, x + mean direction rounds to x
+            # and the run now ends step-too-small before the test
+            (["--algorithm", "sqp", "--alpha", "1e-10", "--theta", "1e-160", "--s0", "20",
+              "--max-sample-size", "601", "--max-iters", "2", "--seed", "1"], [601],
+             "sample-budget-exhausted"),
         ],
     )
     def test_a_test_bound_that_underflows_grows_the_set_to_the_cap(
@@ -463,6 +472,31 @@ class TestCommandLine:
         assert json.loads((tmp_path / "run.csv.meta.json").read_text())["status"] == "step-too-small"
         assert len(read_csv(out)) == 1
 
+    def test_a_projection_that_does_not_converge_exits_with_an_error_line(self, tmp_path, capsys):
+        # Dykstra takes more than its 10,000 cycles on this packaged
+        # portfolio set: a ProjectionError traceback and exit 1
+        rc = main(["run", "--problem", "portfolio", "--algorithm", "spgd", "--alpha", "1.0",
+                   "--s0", "2", "--max-sample-size", "2", "--max-iters", "1", "--seed", "2",
+                   "--output", str(tmp_path / "run.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Dykstra did not converge") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha", ["1e-200", "1e-20"])
+    def test_an_sqp_step_below_the_rounding_of_x_ends_step_too_small(self, tmp_path, capsys, alpha):
+        # x + mean direction rounds to x: at 1e-200 the norm test squared
+        # the mean direction to 0.0 and the run exited 2 with no CSV; at
+        # 1e-20 it completed with x never moved
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--problem", "basic", "--algorithm", "sqp", "--alpha", alpha,
+                       "--max-iters", "5", "--output", str(out)])
+        assert rc == 0
+        assert "step-too-small after 1 iterations" in capsys.readouterr().out
+        assert json.loads((tmp_path / "run.csv.meta.json").read_text())["status"] == "step-too-small"
+        assert len(read_csv(out)) == 1
+
     @pytest.mark.parametrize("row", ["3,10", "3,10,40,1.5,,,,0.25,7"])
     def test_compare_rejects_a_row_of_the_wrong_width(self, tmp_path, capsys, row):
         # a truncated (or overlong) log is a usage error (exit 2), not an
@@ -492,3 +526,53 @@ class TestCommandLine:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+
+
+@st.composite
+def cli_numeric_flags(draw):
+    """The run subcommand's flags for either problem and any algorithm,
+    with every numeric flag drawn over a wide range: alpha log-uniform in
+    [1e-300, 1.6e308], theta log-uniform in [1e-160, 1e150], s0 from 2 to 20
+    (the fixed size of spgd-fixed), a cap from s0 to 3000, 1 to 3 iterations,
+    seeds 0 to 5, beta in (0.01, 0.99) and epsilon log-uniform in [1e-3, 1]."""
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    s0 = draw(st.integers(2, 20))
+    flags = {
+        "problem": draw(st.sampled_from(PROBLEMS)),
+        "algorithm": algorithm,
+        "alpha": draw(_log_uniform(1e-300, 1.6e308)),
+        "theta": draw(_log_uniform(1e-160, 1e150)),
+        "max-sample-size": draw(st.integers(s0, 3000)),
+        "max-iters": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 5)),
+        "beta": draw(st.floats(0.01, 0.99, exclude_min=True, exclude_max=True)),
+        "epsilon": draw(_log_uniform(1e-3, 1.0)),
+        ("fixed-sample-size" if algorithm == "spgd-fixed" else "s0"): s0,
+    }
+    return [arg for key, value in flags.items() for arg in (f"--{key}", str(value))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_numeric_flags())
+def test_every_numeric_flag_setting_exits_0_or_2_and_never_raises(flags):
+    # with every warning an error, main returns 0 with a CSV of one row per
+    # iteration that the sidecar reports and an empty stderr, or 2 with one
+    # stderr line that starts with "error:"
+    with tempfile.TemporaryDirectory() as tmp:
+        out, stdout, stderr = Path(tmp) / "run.csv", io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            rc = main(["run", *flags, "--output", str(out)])
+        err = stderr.getvalue()
+        assert rc in (0, 2), (rc, err)
+        if rc == 0:
+            meta = json.loads(Path(str(out) + ".meta.json").read_text())
+            assert len(read_csv(out)) == meta["iterations"] >= 1
+            assert err == ""
+        else:
+            assert err.startswith("error:") and err.count("\n") == 1, err
