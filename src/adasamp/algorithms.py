@@ -67,7 +67,7 @@ class OptimizerConfig:
     column stays empty).
     Stopping: always after ``max_iters``; early on stationarity (reduced
     gradient norm at most STATIONARITY_TOL * (1 + ||x||)) or on a projected
-    or SQP step that rounds to x (``_projected_step``, ``run_sqp_adaptive``).
+    or SQP step that rounds to x (``_tested``).
     """
 
     alpha: float
@@ -131,11 +131,19 @@ class _Step:
 STATIONARITY_TOL = 1e-8
 
 
-def _tested(step: _Step, x, stats: GradientStats, against, cfg: OptimizerConfig):
-    """The stationarity guard on ``step.reduced_grad``, then, unless it trips
-    or ``cfg.test`` is None, the norm test of ``stats`` against ``against``:
-    sets the step's status, or its rho and next size; returns the outcome.
-    A norm that overflows is inf, above any guard, and warns nothing."""
+def _tested(step: _Step, x, point, stats: GradientStats, against, cfg: OptimizerConfig):
+    """The one a-posteriori rule of every step, on the step's unprojected
+    point: a nonzero mean gradient (SQP: mean direction) whose ``point``
+    equals x bitwise ends the run as "step-too-small", untested, since its
+    reduced gradient would be rounding over alpha, a false stationary point
+    or a false passed test. Otherwise the stationarity guard on
+    ``step.reduced_grad``, then, unless it trips or ``cfg.test`` is None,
+    the norm test of ``stats`` against ``against``: sets the step's status,
+    or its rho and next size; returns the outcome. A norm that overflows is
+    inf, above any guard, and warns nothing."""
+    if np.array_equal(point, x) and stats.mean_grad.any():
+        step.status = STATUS_STEP_TOO_SMALL
+        return None
     with np.errstate(over="ignore"):
         norm_x, norm_r = (float(np.linalg.norm(v)) for v in (x, step.reduced_grad))
     if norm_r <= STATIONARITY_TOL * (1.0 + norm_x):
@@ -149,12 +157,10 @@ def _tested(step: _Step, x, stats: GradientStats, against, cfg: OptimizerConfig)
 
 def _projected_step(cset: ConstraintSet, x, stats: GradientStats, cfg: OptimizerConfig) -> _Step:
     """The step x_next = P(x - alpha * mean gradient) and its reduced
-    gradient (x - x_next) / alpha, with alpha from ``cfg``, guarded and
-    tested by ``_tested`` against that reduced gradient. ``ValueError`` if
-    a finite mean gradient gives a non-finite point. A nonzero mean gradient
-    whose step x - alpha * mean gradient rounds to x itself ends the run as
-    "step-too-small", untested: the reduced gradient would be rounding over
-    alpha, a false stationary point or a false passed test.
+    gradient (x - x_next) / alpha, with alpha from ``cfg``, ruled by
+    ``_tested`` on the unprojected point x - alpha * mean gradient and
+    against that reduced gradient. ``ValueError`` if a finite mean gradient
+    gives a non-finite point.
     """
     alpha = cfg.alpha
     with np.errstate(over="ignore", invalid="ignore"):
@@ -163,10 +169,7 @@ def _projected_step(cset: ConstraintSet, x, stats: GradientStats, cfg: Optimizer
         raise ValueError(f"the projected step x - alpha * mean gradient overflows at alpha={alpha}")
     x_next = project(cset, point).point
     step = _Step(x_next, (x - x_next) / alpha, stats.n)
-    if np.array_equal(point, x) and stats.mean_grad.any():
-        step.status = STATUS_STEP_TOO_SMALL
-    else:
-        _tested(step, x, stats, step.reduced_grad, cfg)
+    _tested(step, x, point, stats, step.reduced_grad, cfg)
     return step
 
 
@@ -305,17 +308,17 @@ def run_sqp_adaptive(
     """Adaptive-sampling SQP for min E[f(x; xi)] s.t. G(x) = 0.
 
     Each iteration linearizes G at x_k, forms per-sample step directions in
-    closed form (``sqp_directions``), and runs the projected steps' guard
-    and norm test (``_tested``) on their ``gradient_stats``, with the mean
-    direction as the reduced gradient (the test of ``sqp_norm_test``). On
-    failure the same sample set is augmented with the ceil(rho' |S|) - |S|
-    draws that follow it on its stream (by prefix stability, the set a
-    fresh draw of that size would give); only the new rows are evaluated,
-    their directions appended, and the step recomputed. Only once the test
+    closed form (``sqp_directions``), and rules the step x + mean direction
+    by the projected steps' one rule (``_tested``: step-too-small, the
+    stationarity guard, the norm test) on their ``gradient_stats``, with the
+    mean direction as the reduced gradient. On failure the same sample set
+    is augmented with the ceil(rho' |S|) - |S| draws that follow it on its
+    stream (by prefix stability, the set a fresh draw of that size would
+    give); only the new rows are evaluated, their directions appended, and
+    the step recomputed. Only once the test
     passes does the iterate advance. If the sample cap is reached while the
     test still fails, the run terminates with status
-    "sample-budget-exhausted". A nonzero mean direction whose step x + mean
-    direction rounds to x itself ends the run as "step-too-small", untested.
+    "sample-budget-exhausted".
     """
 
     def step(x, sample_set, k):
@@ -333,13 +336,10 @@ def run_sqp_adaptive(
             stats = gradient_stats(dirs)
             d_mean = stats.mean_grad
             # the guard reads the directions scaled by -1/alpha, the projected
-            # steps' scale (rho is the same on either); tripped after a round,
-            # it keeps the last test's rho
+            # steps' scale (rho is the same on either); a rule that stops the
+            # run after a round keeps the last test's rho
             s.x_next, s.reduced_grad, s.n = x + d_mean, -d_mean / cfg.alpha, stats.n
-            if np.array_equal(s.x_next, x) and d_mean.any():
-                s.status = STATUS_STEP_TOO_SMALL  # untested, as in _projected_step
-                break
-            outcome = _tested(s, x, stats, d_mean, cfg)
+            outcome = _tested(s, x, s.x_next, stats, d_mean, cfg)
             if outcome is None or outcome.passed:
                 break
             if outcome.next_size <= stats.n:

@@ -71,8 +71,9 @@ class ExperimentConfig:
             )
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError("alpha", "must be positive and finite")
-        if self.algorithm != "spgd-fixed" and not (math.isfinite(self.theta) and self.theta > 0):
-            raise ConfigError("theta", "must be positive and finite")
+        theta_sq = self.theta * self.theta  # one that under- or overflows fails TestConfig
+        if self.algorithm != "spgd-fixed" and not (self.theta > 0 and 0.0 < theta_sq < math.inf):
+            raise ConfigError("theta", "must be positive and finite, with a square in (0, inf)")
         if self.algorithm in ("cvar-extended", "cvar-nested"):
             if not 0.0 < self.beta < 1.0:
                 raise ConfigError(

@@ -41,6 +41,7 @@ __all__ = [
     "batch_grads",
     "sample_objective",
     "sample_gradient",
+    "gradient_stats",
 ]
 
 # Stream tags keep sample draws and frozen problem-parameter draws on

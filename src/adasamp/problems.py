@@ -75,35 +75,37 @@ class BasicExample:
 
     def build(self) -> Tuple[StochasticProblem, ConstraintSet]:
         a, b = self.a, self.b
-        # x - b*xi is formed as (-b)*xi + x, the same bits. A write gets one
-        # keyed block, so each row vector is tiled to a block's height and
-        # meets the block's rows as one contiguous operand
+        # a write gets one keyed block, so each row vector is tiled to a
+        # block's height and meets the block's rows as one contiguous operand
         block = (_STREAM_BLOCK_ROWS, 1)
         neg_b, two_a = np.tile(-b, block), np.tile(2.0 * a, block)
 
-        def value_many(x, xis):
-            # (x - b*xi)^2 @ a: the elementwise part in a scratch array of
-            # the block's rows, the matmul per block
+        def residual(x, xis):
+            # the one writer of the rows x - b*xi, formed as (-b)*xi + x, the same bits
             x_rows = np.tile(x, block)
 
             def write(part, out):
-                m = out.shape[0]
-                r = np.multiply(xis[part], neg_b[:m])
-                np.add(r, x_rows[:m], out=r)
-                np.square(r, out=r)
-                return _blocked_matmul(r, a, out)
+                np.multiply(xis[part], neg_b[: len(out)], out=out)
+                return np.add(out, x_rows[: len(out)], out=out)
+
+            return write
+
+        def value_many(x, xis):
+            # (x - b*xi)^2 @ a: the residual in scratch rows, the matmul per block
+            residual_rows = residual(x, xis)
+
+            def write(part, out):
+                r = residual_rows(part, np.empty((len(out), BASIC_DIM)))
+                return _blocked_matmul(np.square(r, out=r), a, out)
 
             return Rows(xis.shape[:1], write)
 
         def grad_many(x, xis):
             # 2a*(x - b*xi), formed in the rows model asks for
-            x_rows = np.tile(x, block)
+            residual_rows = residual(x, xis)
 
             def write(part, out):
-                m = out.shape[0]
-                np.multiply(xis[part], neg_b[:m], out=out)
-                np.add(out, x_rows[:m], out=out)
-                return np.multiply(out, two_a[:m], out=out)
+                return np.multiply(residual_rows(part, out), two_a[: len(out)], out=out)
 
             return Rows(xis.shape, write)
 

@@ -1,9 +1,10 @@
 """Per-iteration run records, their CSV serialization, and run comparison.
 
 The CSV schema is fixed: one header line, then one row per iteration in the
-column order of CSV_COLUMNS. Floats are written with shortest round-trip
-representation (>= 15 significant digits survive a parse). Missing values
-(no known optimum, test disabled, not a CVaR run) are empty fields.
+column order of CSV_COLUMNS, the fields of RunRecord in order. Floats are
+written with shortest round-trip representation (>= 15 significant digits
+survive a parse). Missing values (no known optimum, test disabled, not a
+CVaR run) are empty fields.
 
 wall_time_ms is wall-clock and therefore the one column excluded from
 determinism comparisons; ``csv_body`` strips it for that purpose.
@@ -12,7 +13,7 @@ determinism comparisons; ``csv_body`` strips it for that purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -27,18 +28,6 @@ __all__ = [
     "compare_runs",
 ]
 
-CSV_COLUMNS = (
-    "iteration",
-    "sample_size",
-    "cumulative_grad_evals",
-    "objective_estimate",
-    "error_norm",
-    "rho",
-    "t_aux",
-    "wall_time_ms",
-)
-
-
 @dataclass(frozen=True)
 class RunRecord:
     iteration: int
@@ -49,6 +38,9 @@ class RunRecord:
     rho: Optional[float] = None
     t_aux: Optional[float] = None
     wall_time_ms: float = 0.0
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 def _fmt(value) -> str:

@@ -89,9 +89,10 @@ def sqp_norm_test(per_sample_dirs, mean_dir, cfg: TestConfig) -> TestOutcome:
     reduced gradient, so rho = sum_i ||d_i - d_mean||^2 / (theta^2 (n-1) n
     ||mean_dir||^2) about the directions' own mean d_mean. rho does not
     change when both are scaled alike, so directions and reduced gradients
-    (the directions times -1/alpha) give the same outcome. The SQP driver
-    runs this test (through the drivers' shared guard) on the directions it
-    keeps, to which an augmentation round appends those of the new rows
-    only. ``per_sample_dirs`` is only read.
+    (the directions times -1/alpha) give the same outcome. No driver calls
+    it: the SQP step runs ``norm_test`` on the ``gradient_stats`` of the
+    directions it keeps, through the drivers' one step rule
+    (``algorithms._tested``), which is this test. ``per_sample_dirs`` is
+    only read.
     """
     return norm_test(gradient_stats(per_sample_dirs), mean_dir, cfg)

@@ -646,6 +646,14 @@ class TestOptimizerConfigValidation:
     def test_fixed_mode_allows_single_sample(self):
         assert cfg(s0=1, test=None).initial_sample_size == 1
 
+    def test_rejects_zero_iterations(self):
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            cfg(iters=0)
+
+    def test_fixed_mode_rejects_an_empty_set(self):
+        with pytest.raises(ValueError, match="initial_sample_size must be >= 1"):
+            cfg(s0=0, test=None)
+
     def test_rejects_adaptive_start_above_the_cap(self):
         # a failed test sizes the next set to min(ceil(rho n), cap) < n:
         # basic spgd with s0 = 500 and cap 100 dropped to 100 rows

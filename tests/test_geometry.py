@@ -77,6 +77,19 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             project(NonNegativeOrthant(3), [1.0, 2.0])
 
+    def test_a_point_that_is_not_a_vector_is_rejected(self):
+        with pytest.raises(ValueError, match=r"y must be a 1-d vector, got shape \(1, 2\)"):
+            project(NonNegativeOrthant(2), [[1.0, 2.0]])
+
+    def test_zero_halfspace_normal_rejected(self):
+        with pytest.raises(ValueError, match="halfspace normal must be nonzero"):
+            Halfspace(np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("kind", [NonNegativeOrthant, UnitSimplex])
+    def test_zero_dimensional_set_rejected(self, kind):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            kind(0)
+
 
 class TestAffineLinearization:
     # the linearization {z : <g, z> + value = 0} is Hyperplane(g, -value)

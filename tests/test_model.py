@@ -22,6 +22,7 @@ from adasamp.algorithms import (
 from adasamp.cli import ExperimentConfig, run_experiment
 from adasamp.model import (
     Rows,
+    SampleSet,
     ScaledRows,
     StochasticProblem,
     _blocked_matmul,
@@ -33,6 +34,7 @@ from adasamp.model import (
     gradient_stats,
     sample_gradient,
     sample_objective,
+    stream_rng,
 )
 from adasamp.problems import make_basic_example, make_portfolio
 from adasamp.records import csv_body
@@ -83,6 +85,13 @@ class TestDrawSamples:
         problem, _ = basic
         with pytest.raises(ValueError):
             draw_samples(problem, 0, 0, 0)
+
+    def test_negative_seed_rejected(self, basic):
+        problem, _ = basic
+        with pytest.raises(ValueError, match="base_seed must be non-negative"):
+            draw_samples(problem, 5, 0, -1)
+        with pytest.raises(ValueError, match="base_seed must be non-negative"):
+            stream_rng(-1, 0)
 
     def test_uniform_coordinates_have_mean_half(self, basic):
         problem, _ = basic
@@ -694,6 +703,14 @@ class TestRowParallelPasses:
 
 
 class TestSampleObjective:
+    def test_empty_set_rejected(self, basic):
+        problem, _ = basic
+        empty = SampleSet(np.empty((0, 20)), Stream(0, 0))
+        with pytest.raises(ValueError, match="empty sample set"):
+            sample_objective(problem, np.zeros(20), empty)
+        with pytest.raises(ValueError, match="empty sample set"):
+            sample_gradient(problem, np.zeros(20), empty)
+
     def test_single_sample_identity(self, basic):
         problem, _ = basic
         a, b = problem.params["a"], problem.params["b"]

@@ -171,6 +171,25 @@ class TestPortfolio:
         params = PortfolioProblem.generate(11)
         assert params.redraws == 0  # max(A) < 1.05 has probability 2^-100
 
+    def test_an_infeasible_draw_is_redrawn_from_the_next_seed(self, monkeypatch):
+        refused = []
+
+        def refuse_first(A):
+            refused.append(A)
+            return len(refused) == 1 or _max_return_infeasible(A)
+
+        monkeypatch.setattr(problems, "_max_return_infeasible", refuse_first)
+        params = PortfolioProblem.generate(11)
+        assert (params.seed, params.redraws) == (12, 1) and len(refused) == 2
+        monkeypatch.undo()
+        np.testing.assert_array_equal(params.A, PortfolioProblem.generate(12).A)
+        np.testing.assert_array_equal(params.B, PortfolioProblem.generate(12).B)
+
+    def test_generate_gives_up_when_every_draw_is_infeasible(self, monkeypatch):
+        monkeypatch.setattr(problems, "_max_return_infeasible", lambda A: True)
+        with pytest.raises(RuntimeError, match="could not draw a feasible portfolio model"):
+            PortfolioProblem.generate(0)
+
     def test_sampler_prefix_stability(self, portfolio):
         # a bigger draw from the same stream must extend a smaller one
         # bitwise; a naive matmul breaks this at the last ulp because BLAS

@@ -68,6 +68,22 @@ class TestCsvRoundTrip:
         rec = read_csv(path)[0]
         assert rec.error_norm is None and rec.rho is None and rec.t_aux is None
 
+    def test_header_is_the_fixed_schema(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv([RunRecord(0, 5, 5, 1.0)], path)
+        assert path.read_text().splitlines()[0] == (
+            "iteration,sample_size,cumulative_grad_evals,objective_estimate,"
+            "error_norm,rho,t_aux,wall_time_ms"
+        )
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        records = [RunRecord(0, 5, 5, 1.0), RunRecord(1, 5, 10, 0.5)]
+        path = tmp_path / "x.csv"
+        write_csv(records, path)
+        header, first, second = path.read_text().splitlines()
+        path.write_text(f"{header}\n{first}\n\n  \n{second}\n")
+        assert read_csv(path) == records
+
     def test_schema_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
@@ -153,6 +169,17 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert err.value.field == "fixed_sample_size"
+
+    @pytest.mark.parametrize("kw, field", [
+        ({"s0": 1}, "s0"),
+        ({"max_iters": 0}, "max_iters"),
+        ({"seed": -1}, "seed"),
+        ({"s0": 20, "max_sample_size": 19}, "max_sample_size"),
+    ], ids=["s0", "max_iters", "seed", "max_sample_size"])
+    def test_out_of_range_value_names_its_field(self, kw, field):
+        with pytest.raises(ConfigError) as err:
+            tiny_config_dirless(**kw).validate()
+        assert err.value.field == field
 
 
 def tiny_config_dirless(**kw):
@@ -246,6 +273,14 @@ class TestCompareRuns:
         )
         assert report.passed, report.failures
 
+    def test_expected_smaller_error_fails_without_an_error_column(self, tmp_path):
+        # a run without a known optimum leaves error_norm empty
+        for name in ("a.csv", "b.csv"):
+            write_csv([RunRecord(0, 5, 5, 1.0), RunRecord(1, 5, 10, 0.5)], tmp_path / name)
+        report = compare_runs(tmp_path / "a.csv", tmp_path / "b.csv", expect_b_error_smaller=True)
+        assert report.failures == ("error_norm missing; cannot compare final errors",)
+        assert not report.passed and report.to_text().endswith("FAIL\n")
+
 
 class TestCommandLine:
     def test_run_and_compare_end_to_end(self, tmp_path):
@@ -266,7 +301,10 @@ class TestCommandLine:
         assert "beta" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line, field", [("validate = 1", "validate"), ("s0 = abc", "s0")], ids=["method", "number"]
+        "line, field",
+        [("validate = 1", "validate"), ("s0 = abc", "s0"), ("algorithm = sgd", "algorithm"),
+         ("max_iters 3", "config")],
+        ids=["method", "number", "unknown-algorithm", "no-equals"],
     )
     def test_bad_config_file_line_exits_with_an_error_line(self, tmp_path, capsys, line, field):
         path = tmp_path / "bad.cfg"
@@ -278,12 +316,17 @@ class TestCommandLine:
         assert not (tmp_path / "run.csv").exists()
 
     def test_a_theta_whose_square_underflows_exits_with_an_error_line(self, tmp_path, capsys):
-        # 1e-200 ** 2 == 0.0: the variance tests would divide by zero
-        rc = main(["run", "--problem", "basic", "--algorithm", "spgd", "--theta", "1e-200",
-                   "--max-iters", "2", "--output", str(tmp_path / "run.csv")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: theta must be positive")
-        assert not (tmp_path / "run.csv").exists()
+        # its square is 0.0: the variance tests would divide by zero. The
+        # error line lacked the field prefix that every other bad flag gets
+        for theta in ("1e-170", "1e-200"):
+            rc = main(["run", "--problem", "basic", "--algorithm", "spgd", "--theta", theta,
+                       "--max-iters", "2", "--output", str(tmp_path / "run.csv")])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "error: invalid configuration field 'theta': "
+                "must be positive and finite, with a square in (0, inf)\n"
+            )
+            assert not (tmp_path / "run.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["alpha", "theta"])

@@ -202,6 +202,27 @@ class TestQuantileSolve:
         with pytest.raises(ValueError):
             quantile_solve([1.0, 2.0], 0.0, 0.1)
 
+    def test_rejects_an_empty_value_list(self):
+        with pytest.raises(ValueError, match="empty value list"):
+            quantile_solve([], 0.5, 0.1)
+
+    def test_stops_once_the_bracket_reaches_floating_point_resolution(self, monkeypatch):
+        # near 1e6 the spacing of floats (1.2e-10) exceeds QUANTILE_TOL, so
+        # the width test never ends the bisection: the midpoint rounding to
+        # an end of the bracket does, after 35 passes instead of all 200
+        calls = []
+        original = risk.expit
+
+        def counted(x):
+            calls.append(1)
+            return original(x)
+
+        monkeypatch.setattr(risk, "expit", counted)
+        values = 1e6 + np.random.default_rng(0).standard_normal(50)
+        t = quantile_solve(values, 0.9, 0.1)
+        assert len(calls) == 35
+        assert values.min() < t < values.max()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values_before_any_pass(self, monkeypatch, bad):
         # a NaN used to run all 200 bisection passes and return NaN, and an
