@@ -30,6 +30,7 @@ from .geometry import (
 from .model import (
     GradientStats,
     SampleSet,
+    SettingError,
     StochasticProblem,
     draw_samples,
     fill_rows,

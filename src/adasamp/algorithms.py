@@ -26,6 +26,7 @@ from .model import (
     Rows,
     SampleSet,
     ScaledRows,
+    SettingError,
     _blocked_matmul,
     _reading_ahead,
     batch_grads,
@@ -68,6 +69,8 @@ class OptimizerConfig:
     Stopping: always after ``max_iters``; early on stationarity (reduced
     gradient norm at most STATIONARITY_TOL * (1 + ||x||)) or on a projected
     or SQP step that rounds to x (``_tested``).
+    The rules of these fields are checked here and those of ``test``'s
+    fields in ``TestConfig``; a breach raises ``SettingError``.
     """
 
     alpha: float
@@ -78,20 +81,21 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be positive and finite")
+            raise SettingError("alpha", "must be positive and finite")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise SettingError("max_iters", "must be >= 1")
+        if self.seed < 0:
+            raise SettingError("seed", "must be non-negative")
         if self.test is not None and self.initial_sample_size < 2:
-            raise ValueError(
-                "initial_sample_size must be >= 2 "
-                "(the variance test needs at least two samples)"
+            raise SettingError(
+                "initial_sample_size", "must be >= 2 (the variance test needs two samples)"
             )
         if self.initial_sample_size < 1:
-            raise ValueError("initial_sample_size must be >= 1")
+            raise SettingError("initial_sample_size", "must be >= 1")
         if self.test is not None and self.initial_sample_size > self.test.max_sample_size:
-            raise ValueError(
-                "initial_sample_size must be <= test.max_sample_size "
-                "(a failed test would shrink the set to the cap)"
+            raise SettingError(
+                "max_sample_size",
+                "must be >= the initial sample size (a failed test would shrink the set to it)",
             )
 
 

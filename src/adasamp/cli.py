@@ -29,9 +29,10 @@ from .algorithms import (
     run_sqp_adaptive,
 )
 from .geometry import ProjectionError
-from .model import STREAM_VERSION
+from .model import STREAM_VERSION, SettingError
 from .problems import BasicExample, PortfolioProblem
 from .records import compare_runs, write_csv
+from .risk import check_cvar
 from .sizing import TestConfig
 
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "main"]
@@ -62,44 +63,42 @@ class ExperimentConfig:
     fixed_sample_size: Optional[int] = None
     output: Optional[str] = None
 
-    def validate(self) -> None:
+    def validate(self) -> OptimizerConfig:
+        """Check every setting and return the run's ``OptimizerConfig``.
+
+        Only the CLI's own rules live here: ``problem`` and ``algorithm``
+        are known names, ``fixed_sample_size`` is set with spgd-fixed and
+        only then, and a float the run does not read is still finite, since
+        the metadata records it. The rules of every setting a run reads are
+        the library's, in ``OptimizerConfig``, ``TestConfig`` and
+        ``risk.check_cvar``: their ``SettingError`` becomes a ``ConfigError``
+        that names the flag (``s0`` or ``fixed_sample_size`` for
+        ``initial_sample_size``).
+        """
         if self.problem not in PROBLEMS:
             raise ConfigError("problem", f"must be one of {PROBLEMS}, got {self.problem!r}")
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(
-                "algorithm", f"must be one of {ALGORITHMS}, got {self.algorithm!r}"
+            raise ConfigError("algorithm", f"must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        fixed = self.algorithm == "spgd-fixed"
+        if (self.fixed_sample_size is None) == fixed:
+            raise ConfigError("fixed_sample_size", "must be set with spgd-fixed, and only then")
+        try:
+            opt = OptimizerConfig(
+                alpha=self.alpha,
+                max_iters=self.max_iters,
+                test=None if fixed else TestConfig(self.theta, self.max_sample_size),
+                initial_sample_size=self.fixed_sample_size if fixed else self.s0,
+                seed=self.seed,
             )
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigError("alpha", "must be positive and finite")
-        theta_sq = self.theta * self.theta  # one that under- or overflows fails TestConfig
-        if self.algorithm != "spgd-fixed" and not (self.theta > 0 and 0.0 < theta_sq < math.inf):
-            raise ConfigError("theta", "must be positive and finite, with a square in (0, inf)")
-        if self.algorithm in ("cvar-extended", "cvar-nested"):
-            if not 0.0 < self.beta < 1.0:
-                raise ConfigError(
-                    "beta",
-                    "cvar algorithms need 0 < beta < 1 "
-                    "(beta = 0 is plain expectation: use spgd)",
-                )
-            if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-                raise ConfigError("epsilon", "must be positive and finite")
-        if self.s0 < 2 and self.algorithm != "spgd-fixed":
-            raise ConfigError("s0", "must be >= 2 (the variance test needs two samples)")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters", "must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be non-negative")
-        if self.max_sample_size < self.s0 and self.algorithm != "spgd-fixed":
-            raise ConfigError("max_sample_size", "must be >= s0")
-        if self.algorithm == "spgd-fixed":
-            if self.fixed_sample_size is None or self.fixed_sample_size < 1:
-                raise ConfigError(
-                    "fixed_sample_size", "spgd-fixed needs --fixed-sample-size >= 1"
-                )
-        elif self.fixed_sample_size is not None:
-            raise ConfigError(
-                "fixed_sample_size", "only meaningful with algorithm spgd-fixed"
-            )
+            if self.algorithm in ("cvar-extended", "cvar-nested"):
+                check_cvar(self.beta, self.epsilon)
+        except SettingError as err:
+            renamed = {"initial_sample_size": "fixed_sample_size" if fixed else "s0"}
+            raise ConfigError(renamed.get(err.field, err.field), err.reason) from None
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(name, "must be finite: the run's metadata records it")
+        return opt
 
     def output_path(self) -> Path:
         if self.output:
@@ -107,17 +106,6 @@ class ExperimentConfig:
         base = os.environ.get(OUTPUT_DIR_ENV, ".")
         name = f"{self.problem}_{self.algorithm}_seed{self.seed}.csv"
         return Path(base) / name
-
-
-def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
-    fixed = cfg.algorithm == "spgd-fixed"
-    return OptimizerConfig(
-        alpha=cfg.alpha,
-        max_iters=cfg.max_iters,
-        test=None if fixed else TestConfig(cfg.theta, cfg.max_sample_size),
-        initial_sample_size=cfg.fixed_sample_size if fixed else cfg.s0,
-        seed=cfg.seed,
-    )
 
 
 def _build_problem(cfg: ExperimentConfig):
@@ -132,9 +120,8 @@ def _build_problem(cfg: ExperimentConfig):
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run one experiment, write the CSV log and its metadata sidecar."""
-    cfg.validate()
+    opt = cfg.validate()
     problem, cset, x0 = _build_problem(cfg)
-    opt = _optimizer_config(cfg)
 
     if cfg.algorithm in ("spgd", "spgd-fixed"):
         result = run_spgd_adaptive(problem, cset, opt, x0)

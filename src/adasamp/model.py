@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
+    "SettingError",
     "StochasticProblem",
     "SampleSet",
     "GradientStats",
@@ -64,6 +65,16 @@ _SLAB_ROWS = 128  # rows per slab of a tiled row-vector broadcast (``_rowwise``)
 # passes on two CPUs made the extended portfolio iteration at 10^4 rows up
 # to 10% slower: waking the pool and handing blocks over cost more.
 _PARALLEL_MIN_ROWS = 32768
+
+
+class SettingError(ValueError):
+    """A setting that breaks its rule: ``field`` names the setting and
+    ``reason`` states the rule, so that the message reads "<field> <reason>".
+    The CLI reports it under the flag that sets the field."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field, self.reason = field, reason
 
 
 def stream_rng(base_seed: int, *stream: int) -> np.random.Generator:

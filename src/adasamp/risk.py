@@ -7,10 +7,11 @@ import math
 
 import numpy as np
 
-from .model import ScaledRows, StochasticProblem, Stream, batch_grads, batch_values
+from .model import ScaledRows, SettingError, StochasticProblem, Stream, batch_grads, batch_values
 
 __all__ = [
     "ExtendedProblem",
+    "check_cvar",
     "smooth_plus",
     "quantile_solve",
     "smoothed_cvar",
@@ -32,6 +33,15 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(np.negative(x)))
 
 
+def check_cvar(beta: float | None, epsilon: float) -> None:
+    """The rules of the CVaR level ``beta`` (skipped when None) and of the
+    smoothing width ``epsilon``; a breach raises ``SettingError``."""
+    if beta is not None and not 0.0 < beta < 1.0:
+        raise SettingError("beta", "must lie strictly in (0, 1)")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise SettingError("epsilon", "must be positive and finite")
+
+
 def smooth_plus(y, epsilon: float):
     """Smooth approximation of max(y, 0): y + epsilon*ln(1 + exp(-y/epsilon)).
 
@@ -39,8 +49,7 @@ def smooth_plus(y, epsilon: float):
     same function on both branches but never overflows. Total function;
     satisfies max(y, 0) <= result <= max(y, 0) + epsilon*ln 2.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
+    check_cvar(None, epsilon)
     y = np.asarray(y, dtype=float)
     out = np.maximum(y, 0.0) + epsilon * np.log1p(np.exp(-np.abs(y) / epsilon))
     return float(out) if out.ndim == 0 else out
@@ -57,10 +66,7 @@ def quantile_solve(values, beta: float, epsilon: float) -> float:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty value list")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie strictly in (0, 1)")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
+    check_cvar(beta, epsilon)
     # min and max propagate NaN, so these two cover every entry
     v_min, v_max = float(values.min()), float(values.max())
     if not (math.isfinite(v_min) and math.isfinite(v_max)):
@@ -110,10 +116,7 @@ class ExtendedProblem:
     """
 
     def __init__(self, base: StochasticProblem, beta: float, epsilon: float):
-        if not 0.0 < beta < 1.0:
-            raise ValueError("beta must lie strictly in (0, 1)")
-        if not (math.isfinite(epsilon) and epsilon > 0):
-            raise ValueError("epsilon must be positive and finite")
+        check_cvar(beta, epsilon)
         self.base = base
         self.beta = float(beta)
         self.epsilon = float(epsilon)

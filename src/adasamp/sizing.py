@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GradientStats, gradient_stats
+from .model import GradientStats, SettingError, gradient_stats
 
 __all__ = [
     "TestConfig",
@@ -24,6 +24,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestConfig:
+    """The variance test's settings. Their rules live here, and a breach
+    raises ``SettingError``."""
+
     # not a pytest class, despite the name
     __test__ = False
 
@@ -32,9 +35,11 @@ class TestConfig:
 
     def __post_init__(self):
         if not (self.theta > 0 and 0.0 < self.theta * self.theta < math.inf):  # NaN fails too
-            raise ValueError("theta must be positive and finite, with a square in (0, inf)")
+            raise SettingError("theta", "must be positive and finite, with a square in (0, inf)")
         if self.max_sample_size < 2:
-            raise ValueError("max_sample_size must be >= 2 (the variance test needs two samples)")
+            raise SettingError(
+                "max_sample_size", "must be >= 2 (the variance test needs two samples)"
+            )
 
 
 @dataclass(frozen=True)

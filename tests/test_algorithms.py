@@ -654,6 +654,12 @@ class TestOptimizerConfigValidation:
         with pytest.raises(ValueError, match="initial_sample_size must be >= 1"):
             cfg(s0=0, test=None)
 
+    @pytest.mark.parametrize("test", [TestConfig(theta=0.5), None], ids=["adaptive", "fixed"])
+    def test_rejects_a_negative_seed(self, test):
+        # it failed only at the first draw
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            cfg(seed=-1, test=test)
+
     def test_rejects_adaptive_start_above_the_cap(self):
         # a failed test sizes the next set to min(ceil(rho n), cap) < n:
         # basic spgd with s0 = 500 and cap 100 dropped to 100 rows

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adasamp.algorithms import OptimizerConfig
 from adasamp.cli import (
     ALGORITHMS,
     PROBLEMS,
@@ -32,6 +33,7 @@ from adasamp.records import (
     read_csv,
     write_csv,
 )
+from adasamp.sizing import TestConfig
 
 
 def tiny_config(tmp_path, **kw):
@@ -145,6 +147,39 @@ class TestRunExperiment:
         assert csv_body(tmp_path / "a.csv") == csv_body(tmp_path / "b.csv")
 
 
+# a setting against a rule, the field the CLI names, and the reason it gives:
+# the library's rules, then a float that the run does not read but its
+# metadata records (its sidecar held "theta": NaN, which no strict JSON
+# parser reads)
+BAD_SETTINGS = [
+    ({"alpha": 0.0}, "alpha", "must be positive and finite"),
+    ({"theta": 1e-170}, "theta", "must be positive and finite, with a square in (0, inf)"),
+    ({"algorithm": "spgd-fixed", "fixed_sample_size": 0}, "fixed_sample_size", "must be >= 1"),
+    ({"s0": 1, "max_sample_size": 1}, "max_sample_size",
+     "must be >= 2 (the variance test needs two samples)"),
+    *(
+        ({"algorithm": algorithm, **kw}, field, reason)
+        for algorithm in ("cvar-extended", "cvar-nested")
+        for kw, field, reason in [
+            ({"beta": 0.0}, "beta", "must lie strictly in (0, 1)"),
+            ({"beta": 1.0}, "beta", "must lie strictly in (0, 1)"),
+            ({"epsilon": 0.0}, "epsilon", "must be positive and finite"),
+        ]
+    ),
+    *(
+        (kw, field, "must be finite: the run's metadata records it")
+        for kw, field in [
+            ({"algorithm": "spgd-fixed", "fixed_sample_size": 5, "theta": math.nan,
+              "beta": math.inf}, "theta"),
+            ({"algorithm": "spgd-fixed", "fixed_sample_size": 5, "beta": math.inf}, "beta"),
+            ({"epsilon": math.nan}, "epsilon"),
+            ({"beta": -math.inf}, "beta"),
+        ]
+    ),
+]
+BAD_SETTING_IDS = ["-".join(f"{k}={v}" for k, v in kw.items()) for kw, _, _ in BAD_SETTINGS]
+
+
 class TestValidation:
     def test_bad_problem_names_field(self):
         cfg = tiny_config_dirless(problem="sde")
@@ -175,11 +210,18 @@ class TestValidation:
         ({"max_iters": 0}, "max_iters"),
         ({"seed": -1}, "seed"),
         ({"s0": 20, "max_sample_size": 19}, "max_sample_size"),
-    ], ids=["s0", "max_iters", "seed", "max_sample_size"])
+        *((kw, field) for kw, field, _ in BAD_SETTINGS),
+    ], ids=["s0", "max_iters", "seed", "max_sample_size", *BAD_SETTING_IDS])
     def test_out_of_range_value_names_its_field(self, kw, field):
         with pytest.raises(ConfigError) as err:
             tiny_config_dirless(**kw).validate()
         assert err.value.field == field
+
+    def test_returns_the_runs_optimizer_config(self):
+        opt = tiny_config_dirless(alpha=0.5, theta=2.0, s0=7, max_sample_size=70, seed=3).validate()
+        assert opt == OptimizerConfig(0.5, 3, TestConfig(2.0, 70), initial_sample_size=7, seed=3)
+        fixed = tiny_config_dirless(algorithm="spgd-fixed", fixed_sample_size=40).validate()
+        assert (fixed.test, fixed.initial_sample_size) == (None, 40)
 
 
 def tiny_config_dirless(**kw):
@@ -327,6 +369,19 @@ class TestCommandLine:
                 "must be positive and finite, with a square in (0, inf)\n"
             )
             assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("kw, field, reason", BAD_SETTINGS, ids=BAD_SETTING_IDS)
+    def test_a_bad_setting_exits_with_one_line_naming_its_flag(
+        self, tmp_path, capsys, kw, field, reason
+    ):
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in kw.items()]
+        rc = main(["run", "--problem", "basic", *flags, "--max-iters", "2",
+                   "--output", str(tmp_path / "run.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid configuration field '{field}': {reason}\n"
+        )
+        assert not (tmp_path / "run.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["alpha", "theta"])

@@ -8,9 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from adasamp import risk
 from adasamp.algorithms import OptimizerConfig, run_nested_quantile
-from adasamp.model import ScaledRows, draw_samples, gradient_stats, sample_gradient
+from adasamp.model import ScaledRows, SettingError, draw_samples, gradient_stats, sample_gradient
 from adasamp.problems import make_basic_example, make_portfolio
-from adasamp.risk import ExtendedProblem, quantile_solve, smooth_plus, smoothed_cvar
+from adasamp.risk import (
+    ExtendedProblem,
+    check_cvar,
+    quantile_solve,
+    smooth_plus,
+    smoothed_cvar,
+)
 from adasamp.sizing import TestConfig
 from oracles import central_diff, cvar_empirical, rel_err, set_workers, var_empirical
 
@@ -359,6 +365,17 @@ class TestExtendProblem:
             weight = expit((f - t) / 0.1) / (1.0 - 0.5)
             single.append(np.concatenate([weight * 2.0 * a * (x - b * xi), [1.0 - weight]]))
         np.testing.assert_allclose(many, np.array(single), rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta, epsilon, field", [
+    (0.0, 0.1, "beta"), (1.0, 0.1, "beta"), (math.nan, 0.1, "beta"),
+    (0.5, 0.0, "epsilon"), (0.5, math.inf, "epsilon"), (None, math.nan, "epsilon"),
+])
+def test_check_cvar_names_the_setting_it_rejects(beta, epsilon, field):
+    with pytest.raises(SettingError) as err:
+        check_cvar(beta, epsilon)
+    assert err.value.field == field
+    assert str(err.value) == f"{field} {err.value.reason}"
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
