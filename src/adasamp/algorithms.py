@@ -27,6 +27,7 @@ from .model import (
     SampleSet,
     ScaledRows,
     SettingError,
+    _as_rows,
     _blocked_matmul,
     _reading_ahead,
     batch_grads,
@@ -268,21 +269,22 @@ def sqp_directions(grads, grad_G, G_val: float, alpha: float) -> np.ndarray:
     KKT gives lambda_i = (G_val - alpha <grad_G, g_i>) / (alpha ||grad_G||^2)
     and d_i = -alpha (g_i + lambda_i grad_G); each d_i satisfies the
     linearized constraint exactly. A zero grad_G is the vacuous constraint
-    0 = 0 when G_val is 0 and inconsistent otherwise. ``grads`` may be
-    ``Rows``. One ``Rows`` pass writes each part's gradient rows into the
-    directions, takes their products with grad_G by ``_blocked_matmul`` (the
-    same bits at any BLAS thread or CPU count) and forms the directions in
-    place; an overflow is left to the norm test, without a warning.
+    0 = 0 when G_val is 0 and inconsistent otherwise. ``grads`` is an array
+    or ``Rows``, read as ``_as_rows``. One ``Rows`` pass takes each part's
+    gradient rows from their write (rows an array holds, or rows written
+    into the directions), takes their products with grad_G by
+    ``_blocked_matmul`` (the same bits at any BLAS thread or CPU count) and
+    forms the directions in place; an overflow is left to the norm test,
+    without a warning.
     """
     grad_G = np.asarray(grad_G, dtype=float)
     g_sq = float(grad_G @ grad_G)
     if g_sq == 0.0 and G_val != 0.0:
         raise ValueError("inconsistent linearization: zero constraint gradient")
-    if not isinstance(grads, Rows):
-        grads = np.asarray(grads, dtype=float)
+    grads = _as_rows(grads)
 
     def write(part, out):
-        g = grads.write(part, out) if isinstance(grads, Rows) else grads[part]
+        g = grads.write(part, out)
         with np.errstate(over="ignore", invalid="ignore"):
             if g_sq:
                 products = _blocked_matmul(g, grad_G, np.empty(len(out)))

@@ -95,8 +95,9 @@ class StochasticProblem:
     ``value_many(x, xis)`` returns the (n,)
     values f(x; xi_i) and ``grad_many(x, xis)`` the (n, dim) gradients, one
     row per realization, each as an array or as ``Rows`` that form them; a
-    single realization is the one-row block ``xi[None]``. The drivers only
-    read what ``grad_many`` returns.
+    single realization is the one-row block ``xi[None]``. ``batch_values``
+    and ``batch_grads`` check both shapes against n and ``dim``. The drivers
+    only read what ``grad_many`` returns: an array is read in place.
     """
 
     dim: int
@@ -190,7 +191,7 @@ def fill_rows(
     0 for a block or more that ``_split`` keeps on this thread then draws
     the next iteration's first n rows on the pool (a smaller draw costs less
     than the handover). The next call of that ``Stream``, d and ``fill``
-    (best one object) in this process, not a forked child, takes them whole,
+    (the same object) in this process, not a forked child, takes them whole,
     or their error, and draws any rows past them as ``extend_samples`` does.
     """
     ahead, workers = _local.ahead, _workers()
@@ -361,14 +362,22 @@ def _reading_ahead():
 
 def batch_values(problem, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """Per-sample objective values f(x; xi_i), shape (n,)."""
-    return np.asarray(problem.value_many(x, xis), dtype=float)
+    return _checked("value_many", np.asarray(problem.value_many(x, xis), dtype=float), (len(xis),))
 
 
-def batch_grads(problem, x: np.ndarray, xis: np.ndarray):
-    """Per-sample gradients: the (n, dim) array, or the ``Rows`` that
-    ``grad_many`` returns as they are."""
-    grads = problem.grad_many(x, xis)
-    return grads if isinstance(grads, Rows) else np.asarray(grads, dtype=float)
+def batch_grads(problem, x: np.ndarray, xis: np.ndarray) -> Rows:
+    """Per-sample gradients, shape (n, dim), as ``Rows``: those that
+    ``grad_many`` returns, or ``_as_rows`` of its array, read in place."""
+    return _checked("grad_many", _as_rows(problem.grad_many(x, xis)), (len(xis), problem.dim))
+
+
+def _checked(evaluator: str, rows, expected: tuple):
+    """``rows`` if their shape is ``expected``: the cost counts one gradient
+    evaluation per drawn row, so rows of any other shape would miscount it
+    or be read as if they were the set's."""
+    if rows.shape != expected:
+        raise ValueError(f"{evaluator} returned rows of shape {rows.shape}, expected {expected}")
+    return rows
 
 
 def sample_objective(problem, x, sample_set: SampleSet) -> float:
@@ -380,13 +389,14 @@ def sample_objective(problem, x, sample_set: SampleSet) -> float:
 
 
 class Rows:
-    """Per-sample rows, shape (n,) or (n, d), that ``write(part, out)``
-    writes into ``out`` and returns, by numpy work on ``out`` only, so on
-    any thread. ``model`` alone picks the parts: one keyed block of
+    """Per-sample rows, shape (n,) or (n, d). ``write(part, out)`` returns
+    the part's rows: either ``out``, written by numpy work on ``out`` only,
+    so on any thread, or rows it already holds, which the caller only
+    reads. ``model`` alone picks the parts: one keyed block of
     ``_in_parallel``, at most ``_STREAM_BLOCK_ROWS`` rows from a multiple of
-    it on. ``np.asarray`` forms every row under ``_in_parallel``, and
-    ``gradient_stats`` folds them into its moments without the (n, d)
-    array."""
+    it on. ``np.asarray`` forms every row under ``_in_parallel`` (a part
+    returned as ``out`` is not copied again), and ``gradient_stats`` folds
+    them into its moments without the (n, d) array."""
 
     def __init__(self, shape, write):
         self.shape = tuple(shape)
@@ -397,39 +407,51 @@ class Rows:
 
     def __array__(self, dtype=None, copy=None):  # numpy casts to dtype
         out = np.empty(self.shape)
-        _in_parallel(lambda part: self.write(part, out[part]), len(self))
+        # numpy skips the copy of a part onto itself
+        _in_parallel(lambda part: np.copyto(out[part], self.write(part, out[part])), len(self))
         return out
+
+
+def _as_rows(rows) -> Rows:
+    """``rows`` as ``Rows``: the ``Rows`` as they are, or an array, held as
+    ``np.asarray(rows, dtype=float)``, whose write returns a view of the
+    part's rows, not a copy. The one place where an array becomes ``Rows``,
+    so that every row pass reads one type."""
+    held = None if isinstance(rows, Rows) else np.asarray(rows, dtype=float)
+    return rows if held is None else Rows(held.shape, lambda part, out: held[part])
 
 
 class ScaledRows(Rows):
     """The rows [scale_i * g_i, tail_i] of per-sample gradients g_i (an
-    (n, d) array or ``Rows``), a scale (n,) and an optional tail (n,). A
-    write scales the rows g_i in out's first d columns: the array's bits."""
+    (n, d) array or ``Rows``, held as ``_as_rows``), a scale (n,) and an
+    optional tail (n,). A write scales the rows g_i that the gradients'
+    write returns into out's first d columns: the array's bits."""
 
     def __init__(self, grads, scale, tail=None):
-        self.grads = grads if isinstance(grads, Rows) else np.asarray(grads, dtype=float)
+        self.grads = _as_rows(grads)
         self.scale = np.asarray(scale, dtype=float)
         self.tail = None if tail is None else np.asarray(tail, dtype=float)
         self.shape = (len(self.grads), self.grads.shape[1] + (tail is not None))
 
     def write(self, part: slice, out: np.ndarray) -> np.ndarray:
         head = out[:, : self.grads.shape[1]]
-        grads = self.grads.write(part, head) if isinstance(self.grads, Rows) else self.grads[part]
-        np.multiply(self.scale[part, None], grads, out=head)
+        np.multiply(self.scale[part, None], self.grads.write(part, head), out=head)
         if self.tail is not None:
             out[:, -1] = self.tail[part]
         return out
 
 
 def _moments(rows):
-    """(mean, M2) of n >= 1 rows, an array or ``Rows``, where M2 =
-    sum_i ||rows_i - c||^2 about the rows' mean c; M2 is exactly 0.0 when
-    n >= 2 and all rows are equal. ``rows`` is only read.
+    """(mean, M2) of n >= 1 rows, an array or ``Rows`` (read as
+    ``_as_rows``), where M2 = sum_i ||rows_i - c||^2 about the rows' mean c;
+    M2 is exactly 0.0 when n >= 2 and all rows are equal. ``rows`` is only
+    read.
 
     Each keyed block b of ``_in_parallel`` forms its column sum s_b and its
-    M2_b about its own mean c_b = s_b / n_b in a scratch buffer. A ``Rows``
-    is written into the buffer in one call, so the calls and bits are those
-    of the array and the block is still in cache when it is read (writes of
+    M2_b about its own mean c_b = s_b / n_b in a scratch buffer. The block's
+    write returns its rows, a view of an array's rows or rows written into
+    the buffer in one call, so the calls and bits are those of the array
+    and the block is still in cache when it is read (writes of
     four blocks at once made the extended portfolio's statistics up to
     1.16x slower on a 2 MiB L2). The calling thread merges the blocks in
     block order (Chan, Golub and LeVeque 1979): the mean is sum_b s_b / n
@@ -439,15 +461,13 @@ def _moments(rows):
     ``mean(axis=0)`` and one ``einsum`` over the deviations. Overflowed or
     non-finite rows give a non-finite M2 without a warning.
     """
-    written = isinstance(rows, Rows)
-    if not written:
-        rows = np.asarray(rows, dtype=float)
+    rows = _as_rows(rows)
     n, d = rows.shape
     sums = np.empty((-(-n // _STREAM_BLOCK_ROWS), d))
     centers = np.empty_like(sums)
     m2 = np.empty(sums.shape[0])
     same = np.empty(m2.size, dtype=bool)
-    head = rows.write(slice(0, min(n, 2)), np.empty((min(n, 2), d))) if written else rows[:2]
+    head = rows.write(slice(0, min(n, 2)), np.empty((min(n, 2), d)))
     # identical rows must give exactly zero, not summation fuzz; the blocks
     # are compared with row 0 only when rows 0 and 1 are equal
     check = n >= 2 and bool(np.all(head[1] == head[0]))
@@ -456,7 +476,7 @@ def _moments(rows):
         b = part.start // _STREAM_BLOCK_ROWS
         dev, tile = np.empty((part.stop - part.start, d)), np.empty((_SLAB_ROWS, d))
         with np.errstate(over="ignore", invalid="ignore"):
-            block = rows.write(part, dev) if written else rows[part]
+            block = rows.write(part, dev)
             np.einsum("ij->j", block, out=sums[b])
             same[b] = check and np.all(block == head[0])
             centers[b] = tile[:] = sums[b] / len(dev)

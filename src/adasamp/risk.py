@@ -136,9 +136,9 @@ class ExtendedProblem:
 
     def grad_many(self, z, xis) -> ScaledRows:
         """The rows [s_i grad f_i, 1 - s_i] with s_i = sigma((f_i - t)/epsilon)
-        / (1 - beta), as ``ScaledRows`` over the base gradients, an array or
-        ``Rows``: ``gradient_stats`` reads them without the (n, dim) array,
-        and ``np.asarray`` forms it."""
+        / (1 - beta), as ``ScaledRows`` over the base gradients' ``Rows``
+        (``batch_grads``): ``gradient_stats`` reads them without the (n, dim)
+        array, and ``np.asarray`` forms it."""
         x, t = self._split(z)
         fs = batch_values(self.base, x, xis)
         gs = batch_grads(self.base, x, xis)

@@ -20,6 +20,7 @@ from adasamp.algorithms import (
     run_sqp_adaptive,
 )
 from adasamp.cli import ExperimentConfig, run_experiment
+from adasamp.geometry import NonNegativeOrthant
 from adasamp.model import (
     Rows,
     SampleSet,
@@ -288,6 +289,7 @@ class TestReadAhead:
             product(u, w, out)
             with lock:
                 finished.append(u.shape[0])
+            return out  # as _blocked_matmul does: a Rows write returns its rows
 
         monkeypatch.setattr(problems, "_blocked_matmul", slow)
         monkeypatch.setattr(model, "_workers", lambda: 2)
@@ -442,6 +444,71 @@ class TestSamplerShape:
             draw_samples(bad, 8, 0, 0)
         with pytest.raises(ValueError, match=message):
             extend_samples(bad, good, 16)
+
+
+def readme_rows(generator, out):
+    """The README's user problem: xi ~ N(c, I) with c = (1, -0.5, 2), and
+    f(x; xi) = ||x - xi||^2 / 2 (``readme_values``, ``readme_grads``)."""
+    generator.standard_normal(out=out)
+    out += np.array([1.0, -0.5, 2.0])
+
+
+def readme_values(x, xis):
+    return 0.5 * np.sum((x - xis) ** 2, axis=1)
+
+
+def readme_grads(x, xis):
+    return x - xis
+
+
+class TestEvaluatorShape:
+    # the README's user problem, 10 rows in iteration 0, with one evaluator
+    # result of the wrong shape: the run fails at its first call, naming the
+    # evaluator, instead of miscounting the cost or reading other rows
+    CFG = OptimizerConfig(alpha=0.1, max_iters=5, test=TestConfig(0.5), initial_sample_size=10)
+
+    @staticmethod
+    def run(value_many, grad_many, calls):
+        def counted(x, xis):
+            calls.append(len(xis))
+            return grad_many(x, xis)
+
+        problem = StochasticProblem(
+            3, lambda stream, n: fill_rows(stream, n, 3, readme_rows), value_many, counted
+        )
+        return run_spgd_adaptive(problem, NonNegativeOrthant(3), TestEvaluatorShape.CFG, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "value_many, grad_many, message",
+        [
+            (readme_values, lambda x, xis: (x - xis)[1:],
+             "grad_many returned rows of shape (9, 3), expected (10, 3)"),
+            (readme_values, lambda x, xis: (x - xis)[:1],
+             "grad_many returned rows of shape (1, 3), expected (10, 3)"),
+            (readme_values, lambda x, xis: np.hstack([x - xis] * 2),
+             "grad_many returned rows of shape (10, 6), expected (10, 3)"),
+            (readme_values,
+             lambda x, xis: Rows((len(xis) - 1, 3), lambda p, out: np.subtract(x, xis[p], out=out)),
+             "grad_many returned rows of shape (9, 3), expected (10, 3)"),
+            (lambda x, xis: readme_values(x, xis)[1:], readme_grads,
+             "value_many returned rows of shape (9,), expected (10,)"),
+        ],
+        ids=["a row short", "one row", "twice dim columns", "Rows a row short", "a value short"],
+    )
+    def test_a_wrong_shape_fails_in_iteration_0_naming_the_evaluator(
+        self, value_many, grad_many, message
+    ):
+        calls = []
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.run(value_many, grad_many, calls)
+        assert calls == [10]  # one gradient call: iteration 0's
+
+    def test_the_well_shaped_problem_counts_each_drawn_row(self):
+        calls = []
+        result = self.run(readme_values, readme_grads, calls)
+        sizes = [r.sample_size for r in result.records]
+        assert calls == sizes and sizes[0] == 10
+        assert [r.cumulative_grad_evals for r in result.records] == list(np.cumsum(sizes))
 
 
 class TestBlockedMatmul:
@@ -1051,3 +1118,14 @@ class TestGradientOwnership:
         assert np.array_equal(s.realizations, before)
         mean, var = two_pass_stats(np.broadcast_to(2.0 * before, (5, 2)))
         assert np.array_equal(stats.mean_grad, mean) and stats.variance_stat == var
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_array_read_as_rows_forms_an_equal_copy(self, monkeypatch, workers):
+        # an evaluator's array becomes Rows whose writes return views of it;
+        # np.asarray forms a new array, so the caller may write it
+        set_workers(monkeypatch, workers)
+        grads = np.random.default_rng(3).normal(size=(4097, 3))
+        rows = model._as_rows(grads)
+        formed = np.asarray(rows)
+        assert np.array_equal(formed, grads) and not np.shares_memory(formed, grads)
+        assert model._as_rows(rows) is rows

@@ -11,9 +11,11 @@ from adasamp.algorithms import EqualityConstraint, OptimizerConfig, run_sqp_adap
 from adasamp.geometry import Intersection, NonNegativeOrthant, project
 from adasamp.model import (
     ScaledRows,
+    StochasticProblem,
     Stream,
     batch_grads,
     draw_samples,
+    fill_rows,
     gradient_stats,
     sample_gradient,
     sample_objective,
@@ -258,7 +260,7 @@ class TestPortfolio:
 # sizes on both sides of the 128-row blocks of the per-row products and of
 # the 2048-row keyed blocks; 4097 and 20003 split their blocks across two
 # workers on
-ROW_LOCAL_SIZES = (1, 2, 127, 128, 129, 255, 257, 511, 513, 2049, 4097, 20003)
+ROW_LOCAL_SIZES = (1, 2, 127, 128, 129, 255, 257, 511, 513, 2047, 2049, 4097, 20003)
 
 
 class TestRowLocalProducts:
@@ -343,7 +345,7 @@ class TestRows:
     def test_moments_of_rows_equal_the_moments_of_their_array(self, monkeypatch, case, workers):
         problem, xis, x, _ = case
         set_workers(monkeypatch, workers)
-        for n in (2, 3) + FOLD_EDGES:
+        for n in (1, 2, 3, 2047) + FOLD_EDGES:
             rows = problem.grad_many(x, xis[:n])
             mean, m2 = model._moments(rows)
             want_mean, want_m2 = model._moments(np.asarray(rows))
@@ -409,6 +411,38 @@ class TestOneIterationPeak:
         set_workers(monkeypatch, 2)
         problem, _ = make_basic_example(0)
         assert self.peak(problem, np.full(20, 0.3), 200_000, 20) < 1.3
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_array_evaluators_at_2e5_rows(self, monkeypatch):
+        # the README's user problem at d = 20, whose evaluators return
+        # arrays: the statistics read grad_many's array in place, so a copy
+        # of it would add 1x to either peak
+        set_workers(monkeypatch, 2)
+        n, d = 200_000, 20
+        c = np.linspace(-1.0, 2.0, d)
+
+        def normal_rows(generator, out):
+            generator.standard_normal(out=out)
+            out += c
+
+        problem = StochasticProblem(
+            dim=d,
+            sampler=lambda stream, n: fill_rows(stream, n, d, normal_rows),
+            value_many=lambda x, xis: 0.5 * np.sum((x - xis) ** 2, axis=1),
+            grad_many=lambda x, xis: x - xis,
+        )
+        x, s = np.full(d, 0.3), draw_samples(problem, n, 0, 0)
+        grads = x - s.realizations
+        assert self.traced_peak(lambda: gradient_stats(grads)) < 0.1 * grads.nbytes
+        assert self.traced_peak(lambda: sample_gradient(problem, x, s)) < 1.1 * grads.nbytes
 
     def test_extended_at_1e5_rows(self, monkeypatch):
         set_workers(monkeypatch, 2)
